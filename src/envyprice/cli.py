@@ -25,16 +25,6 @@ from .solver import (
     write_witness,
 )
 
-_workers_option = click.option(
-    "--workers",
-    type=int,
-    default=1,
-    envvar="POF_WORKERS",
-    show_default=True,
-    help="Parallel scan workers (env: POF_WORKERS).",
-)
-
-
 def _fail_input(err: Exception) -> None:
     click.echo(str(err), err=True)
     sys.exit(2)
@@ -59,12 +49,11 @@ def main() -> None:
     default="lemma4",
     show_default=True,
 )
-@_workers_option
 @click.option("--approx", is_flag=True, help="Append an approximate float.")
-def nn(n: int, mode: str, search: str, workers: int, approx: bool) -> None:
+def nn(n: int, mode: str, search: str, approx: bool) -> None:
     """Print the exact worst-case ratio for n agents and n items."""
     try:
-        witness = solve_p_nn(n, SolveOptions(Mode(mode), Search(search), workers))
+        witness = solve_p_nn(n, SolveOptions(Mode(mode), Search(search)))
     except ValueError as err:
         _fail_input(err)
     line = format_rational(witness.ratio)
@@ -84,14 +73,12 @@ def nn(n: int, mode: str, search: str, workers: int, approx: bool) -> None:
     show_default=True,
 )
 @click.option("--out", type=click.Path(dir_okay=False, allow_dash=True), default="-")
-@_workers_option
 @click.option("--approx", is_flag=True, help="Add an approximate float column.")
-def table(lo: int, hi: int, fmt: str, out: str, workers: int, approx: bool) -> None:
+def table(lo: int, hi: int, fmt: str, out: str, approx: bool) -> None:
     """Tabulate exact ratios for a range of n."""
     if lo < 1 or hi < lo:
         raise click.UsageError("need 1 <= --from <= --to")
-    options = SolveOptions(workers=workers)
-    witnesses = [solve_p_nn(n, options) for n in range(lo, hi + 1)]
+    witnesses = [solve_p_nn(n) for n in range(lo, hi + 1)]
     with click.open_file(out, "w") as fh:
         if fmt == "json":
             fh.write(json.dumps([witness_to_dict(w) for w in witnesses], indent=2))

@@ -36,6 +36,7 @@ __all__ = [
     "ColumnNotNormalized",
     "DimensionMismatch",
     "SearchSpaceTooLarge",
+    "RatioSearchFailed",
     "parse_rational",
     "format_rational",
     "allocation_welfare",
@@ -96,6 +97,22 @@ class SearchSpaceTooLarge(ValueError):
         self.size = size
         self.cap = cap
         super().__init__(f"SearchSpaceTooLarge: {size} allocations exceed cap {cap}")
+
+
+# Step bound of the ratio searches (solver and oracle). Each Dinkelbach step
+# strictly raises alpha within the finite set of attainable ratios, so the
+# bound is only reached through a defect.
+MAX_RATIO_STEPS = 100_000
+
+
+class RatioSearchFailed(RuntimeError):
+    """A ratio search broke an invariant that guarantees it terminates: it
+    ran past `MAX_RATIO_STEPS` steps, or met a negative objective at a ratio
+    that some candidate attains."""
+
+    def __init__(self, n: int, detail: str):
+        self.n = n
+        super().__init__(f"ratio search for n = {n} failed: {detail}")
 
 
 def parse_rational(text: Union[str, int]) -> Fraction:

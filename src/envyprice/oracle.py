@@ -34,7 +34,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator
 
-from .core import UtilityMatrix, envy_free_matching
+from .core import MAX_RATIO_STEPS, RatioSearchFailed, UtilityMatrix, envy_free_matching
 
 __all__ = [
     "VertexConfig",
@@ -169,14 +169,18 @@ def oracle_p_nn(n: int) -> tuple[Fraction, VertexConfig]:
     if n < 1:
         raise ValueError("n must be positive")
     alpha = Fraction(1)
-    for _ in range(100000):
+    for _ in range(MAX_RATIO_STEPS):
         objective, config = _oracle_dp(n, alpha)
         if objective == 0:
             return alpha, config
         if objective < 0:
-            raise AssertionError("objective below zero at an attainable ratio")
+            raise RatioSearchFailed(
+                n, f"objective {objective} below zero at attainable ratio {alpha}"
+            )
         alpha = config.ratio
-    raise AssertionError("fractional iteration failed to terminate")
+    raise RatioSearchFailed(
+        n, f"no zero objective within {MAX_RATIO_STEPS} Dinkelbach steps"
+    )
 
 
 def realize_config(cfg: VertexConfig, n: int) -> UtilityMatrix:

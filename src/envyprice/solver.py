@@ -14,6 +14,15 @@ restricted family whose sub-n support is two consecutive sizes {k-1, k}
 (plus full-support columns), which contains an optimum, and a guarded full
 enumeration of all compositions used to cross-check it for small n.
 
+The restricted family has O(n^2) vectors, in blocks (k, b): b columns of
+size k-1, a of size k for a range of a, full support on the rest. Within a
+block the objective is concave and piecewise linear in a with one break
+at a = R/k, R being the items the (k-1)-columns leave, so the least
+maximizing a is one of at most four points: the ends of the range and the
+two integers around the break. The scan scores only those, O(n log n)
+vectors per solve, and returns exactly what scoring the whole family with
+ties broken toward the least s would (see `_scan_restricted`).
+
 The ratio itself is found either by exact Dinkelbach iteration (default) or
 by certified bisection; both finish with a zero-objective solve at p, so
 they return the identical lexicographically least witness.
@@ -27,14 +36,13 @@ from __future__ import annotations
 
 import json
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
 from itertools import combinations
 from typing import Iterator, Optional, Sequence
 
-from .core import format_rational, parse_rational
+from .core import MAX_RATIO_STEPS, RatioSearchFailed, format_rational, parse_rational
 from .structure import InvalidWitness, _check_witness_vectors
 
 __all__ = [
@@ -97,11 +105,6 @@ class GuardViolation(ValueError):
 class SolveOptions:
     mode: Mode = Mode.EXACT_FRACTIONAL
     search: Search = Search.LEMMA4_RESTRICTED
-    workers: int = 1
-
-    def __post_init__(self) -> None:
-        if self.workers < 1:
-            raise ValueError("workers must be at least 1")
 
 
 @dataclass(frozen=True)
@@ -115,66 +118,56 @@ class StructuredWitness:
     def __post_init__(self) -> None:
         n = len(self.s)
         _check_witness_vectors(self.s, self.r, n)
-        num = sum(Fraction(ri, i + 1) for i, ri in enumerate(self.r))
-        den = sum(Fraction(si, i + 1) for i, si in enumerate(self.s))
-        if self.ratio != num / den:
+        ratio = _witness_ratio(self.s, self.r)
+        if self.ratio != ratio:
             raise InvalidWitness(
-                f"ratio {self.ratio} does not equal (sum r_i/i)/(sum s_i/i) = {num / den}"
+                f"ratio {self.ratio} does not equal (sum r_i/i)/(sum s_i/i) = {ratio}"
             )
 
 
-def _restricted_sparse(
-    n: int, ks: Optional[Sequence[int]] = None
-) -> Iterator[tuple[tuple[int, int], ...]]:
-    """Sparse candidates ((index, count), ...) of the restricted family.
+def _restricted_blocks(n: int) -> Iterator[tuple[int, int, int, int]]:
+    """Blocks (k, b, a_lo, a_hi) of the restricted family, for n >= 2.
 
-    Sub-n support sits in a consecutive pair {k-1, k}; the rest of the n
-    columns have full support. Blocks below full support are capped at 2n
-    items: past that, dropping a block keeps the filled numerator and
-    shrinks the denominator, so no optimum is lost. Histograms whose sub-n
-    support fits several k are emitted for the largest such k only, so the
-    stream is duplicate-free and splitting the k range partitions it.
+    A block's vectors have b columns of support k-1, a columns of support k
+    for each a in a_lo..a_hi, and full support on the other n - a - b
+    columns. The columns below full support hold at most 2n items: past
+    that, dropping some of them keeps the filled numerator and shrinks the
+    denominator, so no optimum is lost. Histograms whose sub-n support fits several k are
+    emitted for the largest such k only, so the family is duplicate-free.
     """
-    if n == 1:
-        yield ((1, 1),)
-        return
     if n == 2:
-        if ks is not None and 2 not in ks:
-            return
-        for ones in range(n + 1):
-            pairs = []
-            if ones:
-                pairs.append((1, ones))
-            if n - ones:
-                pairs.append((2, n - ones))
-            yield tuple(pairs)
+        for b in range(n + 1):
+            yield 2, b, 0, 0
         return
     cap = 2 * n
-    for k in ks if ks is not None else range(2, n):
+    for k in range(2, n):
+        a_lo = 0 if k == 2 else 1
         for b in range(0, min(n, cap // (k - 1)) + 1):
-            rest = cap - (k - 1) * b
-            a_lo = 0 if k == 2 else 1
-            for a in range(a_lo, min(n - b, rest // k) + 1):
-                c = n - a - b
-                pairs = []
-                if b:
-                    pairs.append((k - 1, b))
-                if a:
-                    pairs.append((k, a))
-                if c:
-                    pairs.append((n, c))
-                yield tuple(pairs)
+            a_hi = min(n - b, (cap - (k - 1) * b) // k)
+            if a_lo <= a_hi:
+                yield k, b, a_lo, a_hi
+
+
+def _block_pairs(n: int, k: int, b: int, a: int) -> tuple[tuple[int, int], ...]:
+    """Sparse form ((index, count), ...) of one restricted vector."""
+    c = n - a - b
+    pairs = []
+    if b:
+        pairs.append((k - 1, b))
+    if a:
+        pairs.append((k, a))
+    if c:
+        pairs.append((n, c))
+    return tuple(pairs)
 
 
 def lemma4_candidates(n: int) -> Iterator[tuple[int, ...]]:
     """The restricted s-vectors as full tuples, each summing to n."""
     if n < 2:
         raise ValueError("the restricted family needs n >= 2")
-    for pairs in _restricted_sparse(n):
-        s = [0] * n
-        for i, c in pairs:
-            s[i - 1] = c
-        yield tuple(s)
+    for k, b, a_lo, a_hi in _restricted_blocks(n):
+        for a in range(a_lo, a_hi + 1):
+            yield _pairs_to_s(_block_pairs(n, k, b, a), n)
 
 
 def _greedy_fill(s: Sequence[int], n: int) -> tuple[int, ...]:
@@ -198,50 +191,56 @@ def _pairs_to_s(pairs: Sequence[tuple[int, int]], n: int) -> tuple[int, ...]:
     return tuple(s)
 
 
-def _scan_restricted(args) -> Optional[tuple[int, tuple[int, ...]]]:
-    """Best (key, s) over the restricted candidates with the given k values."""
-    n, p, q, ks = args
-    wgt = [0] * (n + 1)
-    m = math.lcm(*range(1, n + 1))
-    for i in range(1, n + 1):
-        wgt[i] = m // i
+def _scan_restricted(
+    n: int, p: int, q: int, wgt: Sequence[int]
+) -> tuple[int, tuple[int, ...]]:
+    """Best (key, s) over the restricted family, scoring <= 4 a per block.
+
+    Within a block (k, b) only a varies. The greedy fill puts
+    F = min(n, (k-1)*b) items into the (k-1)-columns, min(R, k*a) of the
+    R = n - F left into the k-columns and the rest into the full ones, so
+    with W(i) = lcm(1..n)/i the integer key q*f - p*g is
+
+        (W(k) - W(n)) * (q*min(R, k*a) - p*a) + const(k, b),
+
+    and W(k) > W(n) because k < n. That is concave and piecewise linear in
+    a: slope q*k - p up to a = R/k, slope -p after it. Its least integer
+    maximizer over a_lo..a_hi is therefore one of a_lo, floor(R/k),
+    ceil(R/k) and a_hi, clipped to the range: where q*k <= p nothing
+    rises and a_lo wins, and where p = 0 the second piece is flat and its
+    least point is ceil(R/k). A smaller a is a lexicographically smaller s
+    within a block, so with ties broken toward the least s the result is
+    that of scoring every vector of the family, at O(n log n) scored
+    vectors per call (2 386 at n = 100) instead of O(n^2) (14 948).
+    """
     best_key = None
     best_s: Optional[tuple[int, ...]] = None
-    for pairs in _restricted_sparse(n, ks):
-        g = 0
-        f = 0
-        budget = n
-        for i, c in pairs:
-            g += c * wgt[i]
-            if budget:
-                take = i * c
-                if take > budget:
-                    take = budget
-                f += take * wgt[i]
-                budget -= take
-        key = q * f - p * g
-        if best_key is None or key > best_key:
-            best_key = key
-            best_s = _pairs_to_s(pairs, n)
-        elif key == best_key:
-            s = _pairs_to_s(pairs, n)
-            if s < best_s:
-                best_s = s
-    if best_key is None:
-        return None
+    for k, b, a_lo, a_hi in _restricted_blocks(n):
+        filled = min(n, (k - 1) * b)
+        rest = n - filled
+        gain = wgt[k] - wgt[n]
+        f0 = filled * wgt[k - 1] + rest * wgt[n]
+        g0 = b * wgt[k - 1] + (n - b) * wgt[n]
+        lo, hi = rest // k, -(-rest // k)
+        for a in {a_lo, a_hi, min(max(lo, a_lo), a_hi), min(max(hi, a_lo), a_hi)}:
+            key = q * (f0 + min(rest, k * a) * gain) - p * (g0 + a * gain)
+            if best_key is None or key > best_key:
+                best_key = key
+                best_s = _pairs_to_s(_block_pairs(n, k, b, a), n)
+            elif key == best_key:
+                s = _pairs_to_s(_block_pairs(n, k, b, a), n)
+                if s < best_s:
+                    best_s = s
     return best_key, best_s
 
 
-def _scan_full(args) -> Optional[tuple[int, tuple[int, ...]]]:
-    """Best (key, s) over all compositions with s_1 in the given values."""
-    n, p, q, first_values = args
-    m = math.lcm(*range(1, n + 1))
-    wgt = [0] * (n + 1)
-    for i in range(1, n + 1):
-        wgt[i] = m // i
+def _scan_full(
+    n: int, p: int, q: int, wgt: Sequence[int]
+) -> tuple[int, tuple[int, ...]]:
+    """Best (key, s) over all compositions of n into n parts."""
     best_key = None
     best_s: Optional[tuple[int, ...]] = None
-    for v in first_values:
+    for v in range(n + 1):
         rest = n - v
         slots = rest + n - 2  # compositions of rest into n-1 parts
         base_g = v * wgt[1]
@@ -280,8 +279,6 @@ def _scan_full(args) -> Optional[tuple[int, tuple[int, ...]]]:
                 s = _decode_bars(v, bars, slots, n)
                 if s < best_s:
                     best_s = s
-    if best_key is None:
-        return None
     return best_key, best_s
 
 
@@ -296,15 +293,9 @@ def _decode_bars(v: int, bars, slots: int, n: int) -> tuple[int, ...]:
 
 
 def _witness_ratio(s: Sequence[int], r: Sequence[int]) -> Fraction:
-    num = sum(Fraction(ri, i + 1) for i, ri in enumerate(r))
-    den = sum(Fraction(si, i + 1) for i, si in enumerate(s))
+    num = sum(Fraction(ri, i + 1) for i, ri in enumerate(r) if ri)
+    den = sum(Fraction(si, i + 1) for i, si in enumerate(s) if si)
     return num / den
-
-
-def _chunks(values: list, parts: int) -> list[list]:
-    parts = min(parts, len(values)) or 1
-    size = -(-len(values) // parts)
-    return [values[i : i + size] for i in range(0, len(values), size)]
 
 
 def solve_alpha(
@@ -329,32 +320,17 @@ def solve_alpha(
         return Fraction(1) - alpha, witness
 
     p, q = alpha.numerator, alpha.denominator
+    m = math.lcm(*range(1, n + 1))
+    wgt = [0] + [m // i for i in range(1, n + 1)]
     if opts.search is Search.FULL_ENUMERATION:
         if n > FULL_ENUMERATION_LIMIT:
             raise GuardViolation(n)
-        scan, units = _scan_full, list(range(n + 1))
+        best_key, best_s = _scan_full(n, p, q, wgt)
     else:
-        scan, units = _scan_restricted, list(range(2, max(2, n - 1) + 1))
-
-    if opts.workers == 1 or len(units) == 1:
-        results = [scan((n, p, q, units))]
-    else:
-        tasks = [(n, p, q, chunk) for chunk in _chunks(units, opts.workers)]
-        with ProcessPoolExecutor(max_workers=opts.workers) as pool:
-            results = list(pool.map(scan, tasks))
-
-    best_key = None
-    best_s = None
-    for res in results:
-        if res is None:
-            continue
-        key, s = res
-        if best_key is None or key > best_key or (key == best_key and s < best_s):
-            best_key, best_s = key, s
+        best_key, best_s = _scan_restricted(n, p, q, wgt)
 
     r = _greedy_fill(best_s, n)
     witness = StructuredWitness(best_s, r, _witness_ratio(best_s, r))
-    m = math.lcm(*range(1, n + 1))
     return Fraction(best_key, q * m), witness
 
 
@@ -378,19 +354,23 @@ def solve_p_nn(n: int, options: Optional[SolveOptions] = None) -> StructuredWitn
 
 def _solve_dinkelbach(n: int, opts: SolveOptions) -> StructuredWitness:
     alpha = Fraction(1)
-    for _ in range(100000):
+    for _ in range(MAX_RATIO_STEPS):
         objective, witness = solve_alpha(n, alpha, opts)
         if objective == 0:
             return witness
         if objective < 0:
-            raise AssertionError("objective below zero at an attainable ratio")
+            raise RatioSearchFailed(
+                n, f"objective {objective} below zero at attainable ratio {alpha}"
+            )
         alpha = witness.ratio
-    raise AssertionError("fractional iteration failed to terminate")
+    raise RatioSearchFailed(
+        n, f"no zero objective within {MAX_RATIO_STEPS} Dinkelbach steps"
+    )
 
 
 def _solve_bisection(n: int, opts: SolveOptions) -> StructuredWitness:
     lo, hi = Fraction(1), Fraction(n)
-    for _ in range(100000):
+    for _ in range(MAX_RATIO_STEPS):
         objective, witness = solve_alpha(n, lo, opts)
         if objective == 0:
             return witness
@@ -405,7 +385,9 @@ def _solve_bisection(n: int, opts: SolveOptions) -> StructuredWitness:
             lo = witness.ratio
         else:
             hi = mid
-    raise AssertionError("bisection failed to terminate")
+    raise RatioSearchFailed(
+        n, f"no zero objective within {MAX_RATIO_STEPS} bisection steps"
+    )
 
 
 def sparse_witness_exists(n: int, p: Fraction) -> bool:

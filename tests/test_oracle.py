@@ -119,7 +119,7 @@ def test_oracle_reference_values_and_configs():
 
 def test_oracle_agrees_with_solver():
     # two independent search spaces, one answer
-    for n in range(1, 13):
+    for n in [*range(1, 13), 20, 35, 50]:
         assert oracle_p_nn(n)[0] == solve_p_nn(n).ratio
 
 

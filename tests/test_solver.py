@@ -1,7 +1,11 @@
+import math
+import random
 from fractions import Fraction
 
 import pytest
 
+from envyprice import oracle, solver
+from envyprice.core import RatioSearchFailed
 from envyprice.solver import (
     FULL_ENUMERATION_LIMIT,
     GuardViolation,
@@ -103,6 +107,43 @@ def test_alpha_input_validation():
         solve_alpha(3, F(-1))
 
 
+def _scored_family(n):
+    """Every restricted vector, sorted by s, as (M*sum r_i/i, M*sum s_i/i, s, r)
+    with r the greedy fill and M = lcm(1..n); the sums are taken with
+    Fractions and are integers after scaling."""
+    scale = math.lcm(*range(1, n + 1))
+    scored = []
+    for s in sorted(lemma4_candidates(n)):
+        r, budget = [], n
+        for i, si in enumerate(s, 1):
+            take = min(budget, i * si)
+            r.append(take)
+            budget -= take
+        num = scale * sum(F(ri, i) for i, ri in enumerate(r, 1) if ri)
+        den = scale * sum(F(si, i) for i, si in enumerate(s, 1) if si)
+        assert num.denominator == den.denominator == 1
+        scored.append((int(num), int(den), s, tuple(r)))
+    return scale, scored
+
+
+def test_alpha_matches_scoring_the_whole_family():
+    # the scan scores at most four a per (k, b) block; the reference scores
+    # all of them. Integer alphas 2..n-1 make the rising slope q*k - p zero
+    # at k = alpha, where a whole range of a ties.
+    rng = random.Random(20141)
+    for n in range(3, 41):
+        scale, scored = _scored_family(n)
+        alphas = {F(1), F(n + 1), F(3 * n + 1, 2), solve_p_nn(n).ratio}
+        alphas.update(F(a) for a in range(2, n))
+        alphas.update(F(rng.randint(1, 3 * n), rng.randint(1, 40)) for _ in range(3))
+        for alpha in alphas:
+            p, q = alpha.numerator, alpha.denominator
+            # max() keeps the first of equal keys: the least s
+            num, den, s, r = max(scored, key=lambda v: q * v[0] - p * v[1])
+            objective, w = solve_alpha(n, alpha)
+            assert (objective, w.s, w.r) == (F(q * num - p * den, q * scale), s, r), (n, alpha)
+
+
 # --- candidate generation ------------------------------------------------------
 
 def test_candidates_sum_to_n():
@@ -159,19 +200,26 @@ def test_bisection_matches_exact_fractional():
         assert solve_p_nn(n, BISECT) == solve_p_nn(n)
 
 
-def test_worker_count_does_not_change_results():
-    two = SolveOptions(workers=2)
-    for n in (13, 20):
-        assert solve_p_nn(n, two) == solve_p_nn(n)
-    full_two = SolveOptions(search=Search.FULL_ENUMERATION, workers=2)
-    assert solve_p_nn(8, full_two) == solve_p_nn(8, FULL)
-
-
 def test_options_validation():
     with pytest.raises(ValueError):
-        SolveOptions(workers=0)
-    with pytest.raises(ValueError):
         solve_p_nn(0)
+
+
+def test_ratio_search_failures_are_typed(monkeypatch):
+    two = StructuredWitness((0, 2), (0, 2), F(1))
+    monkeypatch.setattr(solver, "solve_alpha", lambda n, alpha, options=None: (F(-1), two))
+    with pytest.raises(RatioSearchFailed, match="below zero"):
+        solve_p_nn(2)
+    monkeypatch.setattr(oracle, "_oracle_dp", lambda n, alpha: (F(-1), None))
+    with pytest.raises(RatioSearchFailed, match="below zero"):
+        oracle.oracle_p_nn(2)
+
+    # a positive objective that never raises alpha runs into the step bound
+    monkeypatch.setattr(solver, "solve_alpha", lambda n, alpha, options=None: (F(1), two))
+    monkeypatch.setattr(solver, "MAX_RATIO_STEPS", 3)
+    for opts in (None, BISECT):
+        with pytest.raises(RatioSearchFailed, match="within 3 "):
+            solve_p_nn(2, opts)
 
 
 # --- witness objects -----------------------------------------------------------
