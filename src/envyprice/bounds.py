@@ -7,7 +7,7 @@ from g(d) = n(d+1)/(d^2+n) maximized over integer d. Comparisons against
 the irrational sqrt(n)/2 forms are decided exactly by sign-guarded
 squaring, never with floats.
 
-explore_p_nm is a certified heuristic: every value it returns is the exact
+explore_witness is a certified heuristic: every value it returns is the exact
 price ratio of some concrete instance it evaluated, so it is a true lower
 bound on the supremum for (n, m), but never a claim of optimality.
 """
@@ -33,7 +33,6 @@ __all__ = [
     "check_lower_bound",
     "pof_n_interval",
     "bound_report",
-    "explore_p_nm",
     "explore_witness",
     "with_worthless_items",
 ]
@@ -221,19 +220,19 @@ def explore_witness(
     if budget < 1:
         raise ValueError("budget must be at least 1")
 
-    evals = 0
-    best: Optional[tuple[Fraction, UtilityMatrix]] = None
+    # the segmented baseline is envy-free and optimal: it certifies ratio 1
+    evals = 1
+    baseline = _weights_to_matrix(_segmented_columns(n, m))
+    best = (price_ratio(baseline).ratio, baseline)
 
     def certify(cols: Sequence[Sequence[int]]) -> Optional[Fraction]:
         nonlocal evals, best
         evals += 1
         x = _weights_to_matrix(cols)
         ratio = price_ratio(x).ratio
-        if ratio is not None and (best is None or ratio > best[0]):
+        if ratio is not None and ratio > best[0]:
             best = (ratio, x)
         return ratio
-
-    certify(_segmented_columns(n, m))
 
     restart = 0
     while evals < budget:
@@ -268,16 +267,4 @@ def explore_witness(
                 stall += 1
         restart += 1
 
-    assert best is not None  # the segmented baseline always certifies
     return best
-
-
-def explore_p_nm(
-    n: int,
-    m: int,
-    budget: int,
-    seed: int = 0,
-    seed_matrices: Sequence[UtilityMatrix] = (),
-) -> Fraction:
-    """Best certified ratio found within the budget; see explore_witness."""
-    return explore_witness(n, m, budget, seed, seed_matrices)[0]

@@ -12,12 +12,11 @@ import sys
 
 import click
 
-from .bounds import bound_report, explore_p_nm
+from .bounds import bound_report, explore_witness
 from .core import format_rational, price_ratio, read_instance
 from .oracle import fuzz_instances, oracle_p_nn
 from .solver import (
     KNOWN_RATIOS,
-    Mode,
     Search,
     SolveOptions,
     solve_p_nn,
@@ -38,22 +37,16 @@ def main() -> None:
 @main.command()
 @click.option("--n", "n", type=int, required=True, help="Number of agents.")
 @click.option(
-    "--mode",
-    type=click.Choice(["bisect", "exact"]),
-    default="exact",
-    show_default=True,
-)
-@click.option(
     "--search",
     type=click.Choice(["lemma4", "full"]),
     default="lemma4",
     show_default=True,
 )
 @click.option("--approx", is_flag=True, help="Append an approximate float.")
-def nn(n: int, mode: str, search: str, approx: bool) -> None:
+def nn(n: int, search: str, approx: bool) -> None:
     """Print the exact worst-case ratio for n agents and n items."""
     try:
-        witness = solve_p_nn(n, SolveOptions(Mode(mode), Search(search)))
+        witness = solve_p_nn(n, SolveOptions(Search(search)))
     except ValueError as err:
         _fail_input(err)
     line = format_rational(witness.ratio)
@@ -197,7 +190,7 @@ def bounds(n: int | None, hi: int | None) -> None:
 def explore(n: int, m: int, budget: int, seed: int) -> None:
     """Search for high-ratio instances with m >= n items (heuristic)."""
     try:
-        value = explore_p_nm(n, m, budget, seed)
+        value, _ = explore_witness(n, m, budget, seed)
     except ValueError as err:
         _fail_input(err)
     click.echo(f"heuristic lower bound: {format_rational(value)}")

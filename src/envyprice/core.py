@@ -25,7 +25,7 @@ import re
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import product
-from typing import Iterable, Optional, Sequence, Union
+from typing import Any, Callable, Optional, Sequence, Union
 
 __all__ = [
     "Fraction",
@@ -37,6 +37,7 @@ __all__ = [
     "DimensionMismatch",
     "SearchSpaceTooLarge",
     "RatioSearchFailed",
+    "dinkelbach",
     "parse_rational",
     "format_rational",
     "allocation_welfare",
@@ -99,25 +100,57 @@ class SearchSpaceTooLarge(ValueError):
         super().__init__(f"SearchSpaceTooLarge: {size} allocations exceed cap {cap}")
 
 
-# Step bound of the ratio searches (solver and oracle). Each Dinkelbach step
-# strictly raises alpha within the finite set of attainable ratios, so the
-# bound is only reached through a defect.
+# Step bound of `dinkelbach`. Each step strictly raises alpha within the
+# finite set of attainable ratios, so the bound is only reached through a
+# defect.
 MAX_RATIO_STEPS = 100_000
 
 
 class RatioSearchFailed(RuntimeError):
-    """A ratio search broke an invariant that guarantees it terminates: it
-    ran past `MAX_RATIO_STEPS` steps, or met a negative objective at a ratio
-    that some candidate attains."""
+    """The ratio search `dinkelbach`, which the solver and the oracle share,
+    broke an invariant that guarantees it terminates: it ran past
+    `MAX_RATIO_STEPS` steps, or met a negative objective at a ratio that
+    some candidate attains."""
 
     def __init__(self, n: int, detail: str):
         self.n = n
         super().__init__(f"ratio search for n = {n} failed: {detail}")
 
 
+def dinkelbach(
+    n: int, step: Callable[[Fraction], tuple[Fraction, Any]]
+) -> tuple[Fraction, Any]:
+    """Exact Dinkelbach iteration for the largest attainable ratio num/den.
+
+    ``step(alpha)`` returns the maximum of num - alpha*den over a finite
+    candidate set, with a maximizer whose ``ratio`` is its own num/den.
+    Starting at alpha = 1, alpha jumps to that ratio until the maximum is
+    zero; each jump strictly raises alpha among the attainable ratios, so
+    the search ends. Returns (alpha, maximizer) from the zero-objective step.
+    """
+    alpha = Fraction(1)
+    for _ in range(MAX_RATIO_STEPS):
+        objective, best = step(alpha)
+        if objective == 0:
+            return alpha, best
+        if objective < 0:
+            raise RatioSearchFailed(
+                n, f"objective {objective} below zero at attainable ratio {alpha}"
+            )
+        alpha = best.ratio
+    raise RatioSearchFailed(
+        n, f"no zero objective within {MAX_RATIO_STEPS} Dinkelbach steps"
+    )
+
+
+def _is_int(value: object) -> bool:
+    """True for an int that is not a bool (JSON true/false load as bool)."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def parse_rational(text: Union[str, int]) -> Fraction:
     """Parse a rational written as "p/q" or "p" (integers only, no decimals)."""
-    if isinstance(text, int):
+    if _is_int(text):
         return Fraction(text)
     if not isinstance(text, str) or not _RATIONAL_RE.match(text.strip()):
         raise ValueError(f"not a rational in p/q form: {text!r}")
@@ -274,6 +307,7 @@ def _hopcroft_karp(adj: list[list[int]], n_right: int) -> list[int]:
     match_l = [-1] * n_left
     match_r = [-1] * n_right
     dist = [0] * n_left
+    edges: list = [None] * n_left  # adjacency iterators of the path vertices
 
     def bfs() -> bool:
         queue = []
@@ -297,20 +331,34 @@ def _hopcroft_karp(adj: list[list[int]], n_right: int) -> list[int]:
                     queue.append(w)
         return found
 
-    def dfs(u: int) -> bool:
-        for v in adj[u]:
-            w = match_r[v]
-            if w == -1 or (dist[w] == dist[u] + 1 and dfs(w)):
-                match_l[u] = v
-                match_r[v] = u
-                return True
-        dist[u] = INF
-        return False
-
     while bfs():
-        for u in range(n_left):
-            if match_l[u] == -1:
-                dfs(u)
+        for root in range(n_left):
+            if match_l[root] != -1:
+                continue
+            # Depth-first search for an augmenting path with an explicit
+            # stack, so its length is not bounded by the recursion limit.
+            # Each vertex on the path resumes its own adjacency iterator,
+            # which keeps the scan order of the recursive form.
+            path = [root]
+            edges[root] = iter(adj[root])
+            while path:
+                u = path[-1]
+                step = dist[u] + 1
+                for v in edges[u]:
+                    w = match_r[v]
+                    if w == -1:
+                        while path:  # flip the path's edges, emptying it
+                            left = path.pop()
+                            match_r[v] = left
+                            match_l[left], v = v, match_l[left]
+                        break
+                    if dist[w] == step:
+                        path.append(w)
+                        edges[w] = iter(adj[w])
+                        break
+                else:
+                    dist[u] = INF
+                    path.pop()
     return match_l
 
 
@@ -432,13 +480,17 @@ def price_ratio(x: UtilityMatrix, cap: int = EXHAUSTIVE_CAP) -> WelfareReport:
 # ---------------------------------------------------------------------------
 
 def instance_from_dict(payload: dict) -> UtilityMatrix:
+    if not isinstance(payload, dict):
+        raise ValueError("instance file: expected a JSON object")
     for key in ("n", "m", "columns"):
         if key not in payload:
             raise ValueError(f"instance file: missing key {key!r}")
     n, m, columns = payload["n"], payload["m"], payload["columns"]
-    if not isinstance(n, int) or not isinstance(m, int) or n < 1 or m < 1:
+    if not _is_int(n) or not _is_int(m) or n < 1 or m < 1:
         raise ValueError("instance file: n and m must be positive integers")
-    if not isinstance(columns, list) or len(columns) != n:
+    if not isinstance(columns, list):
+        raise ValueError(f"instance file: expected a list of {n} columns")
+    if len(columns) != n:
         raise ValueError(f"instance file: expected {n} columns, got {len(columns)}")
     parsed = []
     for j, col in enumerate(columns):

@@ -34,7 +34,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator
 
-from .core import MAX_RATIO_STEPS, RatioSearchFailed, UtilityMatrix, envy_free_matching
+from .core import UtilityMatrix, dinkelbach, envy_free_matching
 
 __all__ = [
     "VertexConfig",
@@ -162,25 +162,12 @@ def oracle_alpha(n: int, alpha: Fraction) -> Fraction:
 def oracle_p_nn(n: int) -> tuple[Fraction, VertexConfig]:
     """Exact worst-case ratio over configs, with a maximizing config.
 
-    Dinkelbach iteration: starting at alpha = 1, replace alpha with the
-    ratio of the best config until the objective reaches zero. Each step
-    strictly increases alpha within the finite set of attainable ratios.
+    Exact Dinkelbach iteration (`core.dinkelbach`) over `_oracle_dp`,
+    started at alpha = 1.
     """
     if n < 1:
         raise ValueError("n must be positive")
-    alpha = Fraction(1)
-    for _ in range(MAX_RATIO_STEPS):
-        objective, config = _oracle_dp(n, alpha)
-        if objective == 0:
-            return alpha, config
-        if objective < 0:
-            raise RatioSearchFailed(
-                n, f"objective {objective} below zero at attainable ratio {alpha}"
-            )
-        alpha = config.ratio
-    raise RatioSearchFailed(
-        n, f"no zero objective within {MAX_RATIO_STEPS} Dinkelbach steps"
-    )
+    return dinkelbach(n, lambda alpha: _oracle_dp(n, alpha))
 
 
 def realize_config(cfg: VertexConfig, n: int) -> UtilityMatrix:

@@ -23,9 +23,9 @@ two integers around the break. The scan scores only those, O(n log n)
 vectors per solve, and returns exactly what scoring the whole family with
 ties broken toward the least s would (see `_scan_restricted`).
 
-The ratio itself is found either by exact Dinkelbach iteration (default) or
-by certified bisection; both finish with a zero-objective solve at p, so
-they return the identical lexicographically least witness.
+The ratio itself is found by exact Dinkelbach iteration (`core.dinkelbach`),
+which finishes with a zero-objective solve at p and so returns the
+lexicographically least witness attaining it.
 
 All arithmetic is exact. Internally a candidate is scored with integers:
 with M = lcm(1..n) and alpha = p/q, the objective sign of a candidate is the
@@ -42,11 +42,10 @@ from fractions import Fraction
 from itertools import combinations
 from typing import Iterator, Optional, Sequence
 
-from .core import MAX_RATIO_STEPS, RatioSearchFailed, format_rational, parse_rational
+from .core import _is_int, dinkelbach, format_rational, parse_rational
 from .structure import InvalidWitness, _check_witness_vectors
 
 __all__ = [
-    "Mode",
     "Search",
     "SolveOptions",
     "StructuredWitness",
@@ -57,8 +56,6 @@ __all__ = [
     "solve_alpha",
     "solve_p_nn",
     "sparse_witness_exists",
-    "witness_support",
-    "witness_table_rows",
     "witness_to_dict",
     "witness_from_dict",
     "read_witness",
@@ -82,11 +79,6 @@ KNOWN_RATIOS = {
 }
 
 
-class Mode(Enum):
-    BISECTION = "bisect"
-    EXACT_FRACTIONAL = "exact"
-
-
 class Search(Enum):
     LEMMA4_RESTRICTED = "lemma4"
     FULL_ENUMERATION = "full"
@@ -103,7 +95,6 @@ class GuardViolation(ValueError):
 
 @dataclass(frozen=True)
 class SolveOptions:
-    mode: Mode = Mode.EXACT_FRACTIONAL
     search: Search = Search.LEMMA4_RESTRICTED
 
 
@@ -337,57 +328,14 @@ def solve_alpha(
 def solve_p_nn(n: int, options: Optional[SolveOptions] = None) -> StructuredWitness:
     """Exact p(n) with a maximizing witness.
 
-    Default mode is exact Dinkelbach iteration: start at alpha = 1 and jump
-    to the ratio of the best witness until the objective hits zero; each jump
-    strictly increases alpha within the finite set of attainable ratios, so
-    termination is guaranteed. Bisection mode narrows [1, n] instead, but
-    also certifies its answer with a final zero-objective solve, so the two
-    modes return the same witness.
+    Exact Dinkelbach iteration (`core.dinkelbach`) over `solve_alpha`,
+    started at alpha = 1: the witness of the zero-objective step is the
+    lexicographically least one attaining p(n).
     """
     if n < 1:
         raise ValueError("n must be positive")
     opts = options or SolveOptions()
-    if opts.mode is Mode.BISECTION:
-        return _solve_bisection(n, opts)
-    return _solve_dinkelbach(n, opts)
-
-
-def _solve_dinkelbach(n: int, opts: SolveOptions) -> StructuredWitness:
-    alpha = Fraction(1)
-    for _ in range(MAX_RATIO_STEPS):
-        objective, witness = solve_alpha(n, alpha, opts)
-        if objective == 0:
-            return witness
-        if objective < 0:
-            raise RatioSearchFailed(
-                n, f"objective {objective} below zero at attainable ratio {alpha}"
-            )
-        alpha = witness.ratio
-    raise RatioSearchFailed(
-        n, f"no zero objective within {MAX_RATIO_STEPS} Dinkelbach steps"
-    )
-
-
-def _solve_bisection(n: int, opts: SolveOptions) -> StructuredWitness:
-    lo, hi = Fraction(1), Fraction(n)
-    for _ in range(MAX_RATIO_STEPS):
-        objective, witness = solve_alpha(n, lo, opts)
-        if objective == 0:
-            return witness
-        lo = witness.ratio  # objective > 0: a better attainable ratio exists
-        if hi <= lo:
-            continue
-        mid = (lo + hi) / 2
-        objective, witness = solve_alpha(n, mid, opts)
-        if objective == 0:
-            return witness
-        if objective > 0:
-            lo = witness.ratio
-        else:
-            hi = mid
-    raise RatioSearchFailed(
-        n, f"no zero objective within {MAX_RATIO_STEPS} bisection steps"
-    )
+    return dinkelbach(n, lambda alpha: solve_alpha(n, alpha, opts))[1]
 
 
 def sparse_witness_exists(n: int, p: Fraction) -> bool:
@@ -400,30 +348,6 @@ def sparse_witness_exists(n: int, p: Fraction) -> bool:
     return sum(1 for v in witness.s if v) <= 3
 
 
-def witness_support(vec: Sequence[int]) -> str:
-    """Compact rendering of a count vector, e.g. (0,1,1,0,3) -> "2:1,3:1,5:3"."""
-    return ",".join(f"{i + 1}:{v}" for i, v in enumerate(vec) if v)
-
-
-def witness_table_rows(
-    lo: int, hi: int, options: Optional[SolveOptions] = None
-) -> list[tuple[int, int, int, str, str]]:
-    """CSV rows (n, p_num, p_den, s_support, r_support) for n in lo..hi."""
-    rows = []
-    for n in range(lo, hi + 1):
-        w = solve_p_nn(n, options)
-        rows.append(
-            (
-                n,
-                w.ratio.numerator,
-                w.ratio.denominator,
-                witness_support(w.s),
-                witness_support(w.r),
-            )
-        )
-    return rows
-
-
 def witness_to_dict(w: StructuredWitness) -> dict:
     return {
         "n": len(w.s),
@@ -434,12 +358,14 @@ def witness_to_dict(w: StructuredWitness) -> dict:
 
 
 def witness_from_dict(payload: dict) -> StructuredWitness:
+    if not isinstance(payload, dict):
+        raise InvalidWitness("witness file: expected a JSON object")
     for key in ("n", "s", "r", "ratio"):
         if key not in payload:
             raise InvalidWitness(f"witness file: missing key {key!r}")
     n = payload["n"]
     s, r = payload["s"], payload["r"]
-    if not isinstance(n, int) or not isinstance(s, list) or not isinstance(r, list):
+    if not _is_int(n) or not isinstance(s, list) or not isinstance(r, list):
         raise InvalidWitness("witness file: n must be an int, s and r lists")
     if len(s) != n or len(r) != n:
         raise InvalidWitness(f"witness file: s and r must have {n} entries")

@@ -37,6 +37,7 @@ from .core import (
     envy_free_optimal_welfare,
     optimal_welfare,
     EXHAUSTIVE_CAP,
+    _is_int,
 )
 
 __all__ = [
@@ -318,7 +319,7 @@ def _check_witness_vectors(s: Sequence[int], r: Sequence[int], n: int) -> None:
         raise InvalidWitness(f"n must be positive, got {n}")
     if len(s) != n or len(r) != n:
         raise InvalidWitness(f"s and r must have {n} entries")
-    if any(not isinstance(v, int) or v < 0 for v in list(s) + list(r)):
+    if any(not _is_int(v) or v < 0 for v in list(s) + list(r)):
         raise InvalidWitness("s and r must be nonnegative integers")
     if sum(s) != n:
         raise InvalidWitness(f"sum(s) = {sum(s)}, expected {n}")

@@ -10,7 +10,6 @@ from envyprice.bounds import (
     check_lower_bound,
     check_upper_bound,
     construction_ratio,
-    explore_p_nm,
     explore_witness,
     g_of_d,
     lower_construction,
@@ -187,27 +186,27 @@ def test_worthless_items_preserve_ratio(w3):
 
 def test_explore_square_two_agents_is_exactly_one():
     # every envy-free-admitting 2x2 instance has ratio 1
-    assert explore_p_nm(2, 2, 30) == 1
+    assert explore_witness(2, 2, 30)[0] == 1
 
 
 def test_explore_single_agent():
-    assert explore_p_nm(1, 5, 3) == 1
+    assert explore_witness(1, 5, 3)[0] == 1
 
 
 def test_explore_deterministic_and_bounded():
-    first = explore_p_nm(2, 3, 200, seed=0)
-    assert explore_p_nm(2, 3, 200, seed=0) == first
+    first = explore_witness(2, 3, 200, seed=0)[0]
+    assert explore_witness(2, 3, 200, seed=0)[0] == first
     assert F(1) <= first <= F(3, 2)  # the two-agent supremum caps it
 
 
 def test_explore_beats_one_given_enough_budget():
-    assert explore_p_nm(2, 3, 300, seed=0) > 1
+    assert explore_witness(2, 3, 300, seed=0)[0] > 1
 
 
 def test_explore_seeded_with_solver_witness(w3):
-    assert explore_p_nm(3, 3, 4, seed_matrices=(w3,)) >= F(8, 7)
+    assert explore_witness(3, 3, 4, seed_matrices=(w3,))[0] >= F(8, 7)
     w5 = build_witness_matrix((0, 1, 1, 0, 3), (0, 2, 3, 0, 0), 5)
-    assert explore_p_nm(5, 5, 3, seed_matrices=(w5,)) >= F(60, 43)
+    assert explore_witness(5, 5, 3, seed_matrices=(w5,))[0] >= F(60, 43)
 
 
 def test_explore_witness_returns_certified_instance():
@@ -227,13 +226,13 @@ def test_explore_monotone_in_m_when_reseeded():
 
 def test_explore_guard():
     with pytest.raises(SearchSpaceTooLarge):
-        explore_p_nm(2, 17, 5)
+        explore_witness(2, 17, 5)
     with pytest.raises(SearchSpaceTooLarge):
-        explore_p_nm(5, 7, 5)
+        explore_witness(5, 7, 5)
 
 
 def test_explore_validation():
     with pytest.raises(ValueError):
-        explore_p_nm(2, 1, 5)
+        explore_witness(2, 1, 5)
     with pytest.raises(ValueError):
-        explore_p_nm(2, 3, 0)
+        explore_witness(2, 3, 0)

@@ -1,5 +1,6 @@
 import json
 
+import pytest
 from click.testing import CliRunner
 
 from envyprice.cli import main
@@ -22,7 +23,7 @@ def test_nn_prints_exact_fraction():
 
 
 def test_nn_modes_and_searches_agree():
-    for extra in (["--mode", "bisect"], ["--search", "full"]):
+    for extra in ([], ["--search", "full"]):
         result = invoke("nn", "--n", "7", *extra)
         assert result.exit_code == 0
         assert result.output == "63/40\n"
@@ -142,6 +143,19 @@ def test_check_bad_column_sum(tmp_path):
 def test_check_missing_file():
     result = invoke("check", "/no/such/file.json")
     assert result.exit_code == 2
+
+
+@pytest.mark.parametrize(
+    "text",
+    ["5", '{"n": true, "m": true, "columns": [[true]]}'],
+    ids=["number", "booleans"],
+)
+def test_check_malformed_file_is_an_input_error(tmp_path, text):
+    path = tmp_path / "bad.json"
+    path.write_text(text)
+    result = invoke("check", str(path))
+    assert result.exit_code == 2
+    assert "instance file" in result.output
 
 
 # --- bounds --------------------------------------------------------------------------

@@ -1,3 +1,4 @@
+import doctest
 import json
 import random
 from fractions import Fraction
@@ -6,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
 
+import envyprice.core
 from envyprice.core import (
     Allocation,
     ColumnNotNormalized,
@@ -41,7 +43,7 @@ def test_parse_rational_accepts_integers_and_fractions():
     assert parse_rational(5) == Fraction(5)
 
 
-@pytest.mark.parametrize("bad", ["1.5", "", "a/b", "1/2/3", "1e3", "1/-2", "1/0"])
+@pytest.mark.parametrize("bad", ["1.5", "", "a/b", "1/2/3", "1e3", "1/-2", "1/0", True])
 def test_parse_rational_rejects_non_pq(bad):
     with pytest.raises(ValueError):
         parse_rational(bad)
@@ -197,6 +199,30 @@ def test_uniform_instance_has_ratio_one():
     assert price_ratio(x).ratio == Fraction(1)
 
 
+def test_long_augmenting_paths_do_not_recurse():
+    # Column j < n-1 puts 1/2 on items n-2-j and n-1-j, the last column puts
+    # 1 on item 0: the matching needs augmenting paths about n steps long.
+    # The column maxima sum to 1 + (n-1)/2, which is both the optimum and
+    # the envy-free optimum, so the ratio is 1.
+    n = 1200
+    half, zero = Fraction(1, 2), Fraction(0)
+    cols = []
+    for j in range(n - 1):
+        col = [zero] * n
+        col[n - 2 - j] = col[n - 1 - j] = half
+        cols.append(tuple(col))
+    cols.append((Fraction(1),) + (zero,) * (n - 1))
+    report = price_ratio(UtilityMatrix(tuple(cols)))
+    assert report.envy_free_optimal == 1 + Fraction(n - 1, 2)
+    assert report.ratio == 1
+
+
+def test_module_doctests_pass():
+    result = doctest.testmod(envyprice.core)
+    assert result.attempted > 0
+    assert result.failed == 0
+
+
 # --- cross-checks against the literal enumeration oracle -------------------
 
 def test_square_matching_agrees_with_enumeration():
@@ -287,6 +313,15 @@ def test_instance_dict_round_trip(x):
     assert instance_from_dict(instance_to_dict(x)) == x
 
 
+@settings(deadline=None, max_examples=80)
+@given(instances(square=False), st.randoms(use_true_random=False))
+def test_price_ratio_ignores_item_order(x, rng):
+    order = list(range(x.m))
+    rng.shuffle(order)
+    permuted = UtilityMatrix(tuple(tuple(col[i] for i in order) for col in x.columns))
+    assert price_ratio(permuted) == price_ratio(x)
+
+
 # --- instance files --------------------------------------------------------
 
 def test_instance_file_round_trip(tmp_path, w3):
@@ -306,6 +341,11 @@ def test_instance_file_round_trip(tmp_path, w3):
         {"n": 2, "m": 2, "columns": [["1/2", "1/2"], ["1/2"]]},
         {"n": 2, "m": 2, "columns": [["1/2", "1/2"], [0.5, 0.5]]},
         {"n": 0, "m": 2, "columns": []},
+        5,
+        [2, 2, [["1/2", "1/2"], ["1/2", "1/2"]]],
+        {"n": True, "m": True, "columns": [[True]]},
+        {"n": 1, "m": 1, "columns": [[True]]},
+        {"n": 1, "m": 1, "columns": 5},
     ],
 )
 def test_instance_dict_rejections(payload):

@@ -4,13 +4,12 @@ from fractions import Fraction
 
 import pytest
 
-from envyprice import oracle, solver
+from envyprice import core, oracle, solver
 from envyprice.core import RatioSearchFailed
 from envyprice.solver import (
     FULL_ENUMERATION_LIMIT,
     GuardViolation,
     KNOWN_RATIOS,
-    Mode,
     Search,
     SolveOptions,
     StructuredWitness,
@@ -20,8 +19,6 @@ from envyprice.solver import (
     solve_p_nn,
     sparse_witness_exists,
     witness_from_dict,
-    witness_support,
-    witness_table_rows,
     witness_to_dict,
     write_witness,
 )
@@ -30,7 +27,6 @@ from envyprice.structure import InvalidWitness
 F = Fraction
 
 FULL = SolveOptions(search=Search.FULL_ENUMERATION)
-BISECT = SolveOptions(mode=Mode.BISECTION)
 
 
 # --- the reference table -----------------------------------------------------
@@ -195,11 +191,6 @@ def test_full_enumeration_guard():
         solve_p_nn(FULL_ENUMERATION_LIMIT + 1, FULL)
 
 
-def test_bisection_matches_exact_fractional():
-    for n in range(1, 16):
-        assert solve_p_nn(n, BISECT) == solve_p_nn(n)
-
-
 def test_options_validation():
     with pytest.raises(ValueError):
         solve_p_nn(0)
@@ -216,10 +207,13 @@ def test_ratio_search_failures_are_typed(monkeypatch):
 
     # a positive objective that never raises alpha runs into the step bound
     monkeypatch.setattr(solver, "solve_alpha", lambda n, alpha, options=None: (F(1), two))
-    monkeypatch.setattr(solver, "MAX_RATIO_STEPS", 3)
-    for opts in (None, BISECT):
-        with pytest.raises(RatioSearchFailed, match="within 3 "):
-            solve_p_nn(2, opts)
+    flat = oracle.VertexConfig(((1, 1), (1, 1)))  # ratio 1
+    monkeypatch.setattr(oracle, "_oracle_dp", lambda n, alpha: (F(1), flat))
+    monkeypatch.setattr(core, "MAX_RATIO_STEPS", 3)
+    with pytest.raises(RatioSearchFailed, match="within 3 "):
+        solve_p_nn(2)
+    with pytest.raises(RatioSearchFailed, match="within 3 "):
+        oracle.oracle_p_nn(2)
 
 
 # --- witness objects -----------------------------------------------------------
@@ -246,21 +240,6 @@ def test_structured_witness_validation():
         StructuredWitness((0, 2), (0, 2), F(2))  # ratio mismatch
 
 
-def test_witness_support_rendering():
-    assert witness_support((0, 1, 1, 0, 3)) == "2:1,3:1,5:3"
-    assert witness_support((2, 0)) == "1:2"
-
-
-def test_witness_table_rows():
-    rows = witness_table_rows(1, 9)
-    assert [(n, num, den) for n, num, den, _, _ in rows] == [
-        (n, KNOWN_RATIOS[n].numerator, KNOWN_RATIOS[n].denominator)
-        for n in range(1, 10)
-    ]
-    assert rows[4][3] == "2:1,3:1,5:3"
-    assert rows[4][4] == "2:2,3:3"
-
-
 def test_witness_json_round_trip(tmp_path):
     w = solve_p_nn(7)
     payload = witness_to_dict(w)
@@ -283,6 +262,10 @@ def test_witness_json_round_trip(tmp_path):
         {"n": 2, "s": [0, 2], "r": [0, 2, 0], "ratio": "1"},
         {"n": 2, "s": [0, 2], "r": [0, 2], "ratio": "3/2"},
         {"n": "2", "s": [0, 2], "r": [0, 2], "ratio": "1"},
+        {"n": True, "s": [True], "r": [True], "ratio": "1"},
+        {"n": 2, "s": [True, True], "r": [True, True], "ratio": "1"},
+        5,
+        [2, [0, 2], [0, 2], "1"],
     ],
 )
 def test_witness_dict_rejections(payload):
