@@ -54,17 +54,8 @@ def lower_construction(n: int) -> UtilityMatrix:
     if n < 1:
         raise ValueError("n must be positive")
     k = math.isqrt(n)
-    zero = Fraction(0)
-    share = Fraction(1, k)
-    columns = []
-    for t in range(k):
-        col = [zero] * n
-        for i in range(t * k, (t + 1) * k):
-            col[i] = share
-        columns.append(tuple(col))
-    uniform = tuple(Fraction(1, n) for _ in range(n))
-    columns.extend(uniform for _ in range(n - k))
-    return UtilityMatrix(tuple(columns))
+    blocks = [[0] * (t * k) + [1] * k + [0] * (n - (t + 1) * k) for t in range(k)]
+    return UtilityMatrix.from_weights(blocks + [[1] * n] * (n - k))
 
 
 def construction_ratio(n: int) -> Fraction:
@@ -168,9 +159,8 @@ def with_worthless_items(x: UtilityMatrix, extra: int) -> UtilityMatrix:
     because such items alter no bundle's worth."""
     if extra < 0:
         raise ValueError("extra must be nonnegative")
-    zero = Fraction(0)
-    pad = (zero,) * extra
-    return UtilityMatrix(tuple(col + pad for col in x.columns))
+    pad = (0,) * extra
+    return UtilityMatrix(tuple(col + pad for col in x.grid), x.scale)
 
 
 def _segmented_columns(n: int, m: int) -> list[list[int]]:
@@ -187,14 +177,6 @@ def _segmented_columns(n: int, m: int) -> list[list[int]]:
         start += size
         cols.append(col)
     return cols
-
-
-def _weights_to_matrix(cols: Sequence[Sequence[int]]) -> UtilityMatrix:
-    return UtilityMatrix(
-        tuple(
-            tuple(Fraction(v, sum(col)) for v in col) for col in cols
-        )
-    )
 
 
 def explore_witness(
@@ -222,13 +204,13 @@ def explore_witness(
 
     # the segmented baseline is envy-free and optimal: it certifies ratio 1
     evals = 1
-    baseline = _weights_to_matrix(_segmented_columns(n, m))
+    baseline = UtilityMatrix.from_weights(_segmented_columns(n, m))
     best = (price_ratio(baseline).ratio, baseline)
 
     def certify(cols: Sequence[Sequence[int]]) -> Optional[Fraction]:
         nonlocal evals, best
         evals += 1
-        x = _weights_to_matrix(cols)
+        x = UtilityMatrix.from_weights(cols)
         ratio = price_ratio(x).ratio
         if ratio is not None and ratio > best[0]:
             best = (ratio, x)

@@ -198,7 +198,7 @@ def explore(n: int, m: int, budget: int, seed: int) -> None:
 
 @main.command()
 @click.option("--n", "n", type=int, required=True)
-@click.option("--count", type=int, required=True)
+@click.option("--count", type=click.IntRange(min=1), required=True)
 @click.option("--seed", type=int, default=0, show_default=True)
 def fuzz(n: int, count: int, seed: int) -> None:
     """Fuzz random instances against the exact bound; CSV on stdout."""

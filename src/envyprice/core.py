@@ -22,9 +22,10 @@ from __future__ import annotations
 import json
 import math
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product
+from functools import cached_property
+from itertools import chain, product
 from typing import Any, Callable, Optional, Sequence, Union
 
 __all__ = [
@@ -167,72 +168,103 @@ def format_rational(value: Fraction) -> str:
 
 @dataclass(frozen=True)
 class UtilityMatrix:
-    """Normalized additive utilities, stored column-major.
+    """Normalized additive utilities as exact integers over one common scale.
 
-    ``columns[j][i]`` is the value of item i to agent j. Besides the Fraction
-    view, the constructor builds an exact integer view of the same data: every
-    entry multiplied by ``scale``, the lcm of all entry denominators. The hot
-    loops (column sums, max scans, exhaustive search) run on those integers.
+    ``grid`` is column-major: ``grid[j][i] / scale`` is the value of item i to
+    agent j, and every column sums to ``scale``, which the constructor reduces
+    to the least common denominator, so equal matrices have equal fields. The
+    hot loops run on these integers; ``columns``, the Fraction view, is built
+    on first read.
+
+    >>> x = UtilityMatrix.from_weights([[2, 2, 0], [1, 1, 1]])
+    >>> x.grid, x.scale, x.entry(0, 0)
+    (((3, 3, 0), (2, 2, 2)), 6, Fraction(1, 2))
     """
 
-    columns: tuple[tuple[Fraction, ...], ...]
-    scale: int = field(init=False, repr=False, compare=False)
-    grid: tuple[tuple[int, ...], ...] = field(init=False, repr=False, compare=False)
+    grid: tuple[tuple[int, ...], ...]
+    scale: int
 
     def __post_init__(self) -> None:
-        # Entries that already are Fractions are kept: re-creating one per
-        # entry used to dominate the cost of building a large matrix.
-        cols = tuple(
-            tuple(v if type(v) is Fraction else Fraction(v) for v in col)
-            for col in self.columns
-        )
-        if not cols or not cols[0]:
-            raise ValueError("utility matrix needs at least one agent and one item")
-        m = len(cols[0])
-        if any(len(col) != m for col in cols):
-            raise ValueError("all agent columns must have the same length")
-        object.__setattr__(self, "columns", cols)
-        denominators = {v.denominator for col in cols for v in col}
-        scale = math.lcm(*denominators)
-        factor = {d: scale // d for d in denominators}
-        grid = []
-        for j, col in enumerate(cols):
-            ints = tuple(v.numerator * factor[v.denominator] for v in col)
-            if min(ints) < 0:
-                i = next(i for i, w in enumerate(ints) if w < 0)
-                raise NegativeUtility(i + 1, j + 1, col[i])
-            total = sum(ints)
+        grid = _int_columns(self.grid)
+        scale = self.scale
+        if not _is_int(scale) or scale < 1:
+            raise ValueError(f"scale must be a positive integer, got {scale!r}")
+        common = scale  # the gcd of scale and every entry
+        for j, col in enumerate(grid):
+            if min(col) < 0:
+                i = next(i for i, v in enumerate(col) if v < 0)
+                raise NegativeUtility(i + 1, j + 1, Fraction(col[i], scale))
+            total = sum(col)
             if total != scale:
                 raise ColumnNotNormalized(j + 1, Fraction(total, scale))
-            grid.append(ints)
+            if common > 1:
+                common = math.gcd(common, *col)
+        if common > 1:
+            grid = tuple(tuple(v // common for v in col) for col in grid)
+            scale //= common
+        object.__setattr__(self, "grid", grid)
         object.__setattr__(self, "scale", scale)
-        object.__setattr__(self, "grid", tuple(grid))
+
+    @cached_property
+    def columns(self) -> tuple[tuple[Fraction, ...], ...]:
+        """The matrix as Fractions: ``columns[j][i] = grid[j][i] / scale``."""
+        value = {v: Fraction(v, self.scale) for v in set(chain.from_iterable(self.grid))}
+        return tuple(tuple(map(value.__getitem__, col)) for col in self.grid)
 
     @property
     def n(self) -> int:
         """Number of agents."""
-        return len(self.columns)
+        return len(self.grid)
 
     @property
     def m(self) -> int:
         """Number of items."""
-        return len(self.columns[0])
+        return len(self.grid[0])
 
     def entry(self, item: int, agent: int) -> Fraction:
-        return self.columns[agent][item]
+        return Fraction(self.grid[agent][item], self.scale)
+
+    @classmethod
+    def from_columns(cls, columns: Sequence[Sequence[Fraction]]) -> "UtilityMatrix":
+        """Build from columns of rationals, each summing to exactly 1; an
+        entry that is not a Fraction is coerced with ``Fraction(v)``."""
+        # Fractions are kept: re-creating one per entry is slow on large matrices.
+        cols = [[v if type(v) is Fraction else Fraction(v) for v in col] for col in columns]
+        denominators = {v.denominator for col in cols for v in col}
+        scale = math.lcm(*denominators)
+        factor = {d: scale // d for d in denominators}
+        grid = tuple(tuple(v.numerator * factor[v.denominator] for v in col) for col in cols)
+        return cls(grid, scale)
+
+    @classmethod
+    def from_weights(cls, weights: Sequence[Sequence[int]]) -> "UtilityMatrix":
+        """Build from nonnegative integer weights, normalizing each column by
+        its own total, which must be positive."""
+        cols = _int_columns(weights)
+        totals = [sum(col) for col in cols]
+        scale = math.lcm(*(t for t in totals if t > 0))
+        # Columns without a positive total pass unscaled; the constructor rejects them.
+        grid = tuple(
+            tuple(w * (scale // t) for w in col) if t > 0 else col
+            for col, t in zip(cols, totals)
+        )
+        return cls(grid, scale)
 
     @classmethod
     def from_strings(cls, columns: Sequence[Sequence[Union[str, int]]]) -> "UtilityMatrix":
-        return cls(tuple(tuple(parse_rational(v) for v in col) for col in columns))
+        return cls.from_columns([[parse_rational(v) for v in col] for col in columns])
 
-    @classmethod
-    def from_rows(cls, rows: Sequence[Sequence[Fraction]]) -> "UtilityMatrix":
-        cols = tuple(tuple(Fraction(rows[i][j]) for i in range(len(rows)))
-                     for j in range(len(rows[0])))
-        return cls(cols)
 
-    def rows(self) -> list[tuple[Fraction, ...]]:
-        return [tuple(self.columns[j][i] for j in range(self.n)) for i in range(self.m)]
+def _int_columns(columns: Sequence[Sequence[int]]) -> tuple[tuple[int, ...], ...]:
+    """The columns as tuples, once they form a nonempty rectangle of ints."""
+    cols = tuple(map(tuple, columns))
+    if not cols or not cols[0]:
+        raise ValueError("utility matrix needs at least one agent and one item")
+    if any(len(col) != len(cols[0]) for col in cols):
+        raise ValueError("all agent columns must have the same length")
+    if any(set(map(type, col)) != {int} for col in cols):
+        raise ValueError("utility matrix entries must be integers")
+    return cols
 
 
 def _check_allocation(x: UtilityMatrix, allocation: Sequence[int]) -> None:
@@ -504,7 +536,7 @@ def instance_from_dict(payload: dict) -> UtilityMatrix:
                 )
             entries.append(parse_rational(v))
         parsed.append(tuple(entries))
-    return UtilityMatrix(tuple(parsed))
+    return UtilityMatrix.from_columns(parsed)
 
 
 def instance_to_dict(x: UtilityMatrix) -> dict:

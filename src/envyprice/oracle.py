@@ -232,11 +232,8 @@ def realize_config(cfg: VertexConfig, n: int) -> UtilityMatrix:
                 f"support needs {sizes[j]} items, only {len(support)} have "
                 f"a small enough floor",
             )
-        share = Fraction(1, sizes[j])
-        columns.append(
-            tuple(share if i in support else Fraction(0) for i in range(n))
-        )
-    return UtilityMatrix(tuple(columns))
+        columns.append([1 if i in support else 0 for i in range(n)])
+    return UtilityMatrix.from_weights(columns)
 
 
 def fuzz_instances(
@@ -267,13 +264,12 @@ def fuzz_instances(
             cols = []
             for _ in range(n):
                 weights = [rng.randrange(17) for _ in range(n)]
-                total = sum(weights)
-                if total == 0:
+                if not any(weights):
                     break
-                cols.append(tuple(Fraction(w, total) for w in weights))
+                cols.append(weights)
             if len(cols) < n:
                 continue
-            x = UtilityMatrix(tuple(cols))
+            x = UtilityMatrix.from_weights(cols)
             if envy_free_matching(x) is not None:
                 yield x
                 break

@@ -369,7 +369,11 @@ def witness_from_dict(payload: dict) -> StructuredWitness:
         raise InvalidWitness("witness file: n must be an int, s and r lists")
     if len(s) != n or len(r) != n:
         raise InvalidWitness(f"witness file: s and r must have {n} entries")
-    return StructuredWitness(tuple(s), tuple(r), parse_rational(payload["ratio"]))
+    try:
+        ratio = parse_rational(payload["ratio"])
+    except ValueError as err:
+        raise InvalidWitness(f"witness file: {err}") from None
+    return StructuredWitness(tuple(s), tuple(r), ratio)
 
 
 def read_witness(path: str) -> StructuredWitness:

@@ -154,7 +154,7 @@ def classify_agents(x: UtilityMatrix, tau: Sequence[int]) -> tuple[AgentClass, .
 def _replace_column(x: UtilityMatrix, j: int, column: Sequence[Fraction]) -> UtilityMatrix:
     cols = list(x.columns)
     cols[j] = tuple(column)
-    return UtilityMatrix(tuple(cols))
+    return UtilityMatrix.from_columns(cols)
 
 
 def smooth_small_agent(x: UtilityMatrix, tau: Sequence[int], j: int) -> UtilityMatrix:
@@ -258,8 +258,7 @@ def canonicalize(x: UtilityMatrix) -> UtilityMatrix:
     item_of = [0] * x.n
     for item, agent in enumerate(match):
         item_of[agent] = item
-    rows = x.rows()
-    return UtilityMatrix.from_rows([rows[item_of[j]] for j in range(x.n)])
+    return UtilityMatrix(tuple(tuple(col[i] for i in item_of) for col in x.grid), x.scale)
 
 
 @dataclass(frozen=True)
@@ -302,16 +301,10 @@ class CanonicalInstance:
             seen |= set(sup)
 
     def to_matrix(self) -> UtilityMatrix:
-        cols = []
-        for kj, sup in zip(self.k, self.supports):
-            if sup is None:
-                cols.append(tuple([Fraction(1, self.n)] * self.n))
-            else:
-                col = [Fraction(0)] * self.n
-                for i in sup:
-                    col[i] = Fraction(1, kj)
-                cols.append(tuple(col))
-        return UtilityMatrix(tuple(cols))
+        return UtilityMatrix.from_weights([
+            [1] * self.n if sup is None else [int(i in sup) for i in range(self.n)]
+            for sup in self.supports
+        ])
 
 
 def _check_witness_vectors(s: Sequence[int], r: Sequence[int], n: int) -> None:
@@ -387,8 +380,5 @@ def reduce_to_square(x: UtilityMatrix, cap: int = EXHAUSTIVE_CAP) -> UtilityMatr
     for g in owners:
         counts[g] += 1
     keep = [j for j in range(x.n) if counts[j] == 1]
-    m = x.m
-    cols = [x.columns[j] for j in keep]
-    uniform = tuple([Fraction(1, m)] * m)
-    cols.extend([uniform] * (m - len(keep)))
-    return UtilityMatrix(tuple(cols))
+    uniform = [(1,) * x.m] * (x.m - len(keep))
+    return UtilityMatrix.from_weights([x.grid[j] for j in keep] + uniform)

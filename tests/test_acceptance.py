@@ -157,7 +157,7 @@ def test_criterion_8_square_reduction_contracts():
                 while got < 25:
                     draws += 1
                     assert draws <= 4000, (n, m)  # acceptance rate guard
-                    x = UtilityMatrix(random_columns(rng, n, m))
+                    x = UtilityMatrix.from_columns(random_columns(rng, n, m))
                     found = envy_free_optimal_exhaustive(x)
                     if found is None:
                         continue

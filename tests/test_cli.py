@@ -208,3 +208,10 @@ def test_fuzz_csv_is_deterministic_and_sound():
     assert lines[0] == "instance_id,ratio_num,ratio_den,bound_holds"
     assert len(lines) == 6
     assert all(line.endswith(",true") for line in lines[1:])
+
+
+@pytest.mark.parametrize("count", ["0", "-3"])
+def test_fuzz_rejects_count_below_one(count):
+    result = invoke("fuzz", "--n", "5", "--count", count)
+    assert result.exit_code == 2
+    assert "instance_id" not in result.output

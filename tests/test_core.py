@@ -8,6 +8,7 @@ from hypothesis import given, settings
 import hypothesis.strategies as st
 
 import envyprice.core
+from envyprice.bounds import lower_construction, with_worthless_items
 from envyprice.core import (
     Allocation,
     ColumnNotNormalized,
@@ -30,6 +31,9 @@ from envyprice.core import (
     read_instance,
     write_instance,
 )
+from envyprice.oracle import fuzz_instances
+from envyprice.solver import solve_p_nn
+from envyprice.structure import build_witness_matrix
 from util import brute_ef_allocations, brute_ef_optimum, brute_optimum, random_columns
 
 
@@ -98,7 +102,7 @@ def test_errors_report_positions_past_the_first_entry():
 
 
 def test_non_fraction_entries_are_coerced():
-    x = UtilityMatrix((
+    x = UtilityMatrix.from_columns((
         (1, 0, 0),
         (Fraction(1, 3), 0, Fraction(2, 3)),
         (Fraction(1, 4), Fraction(3, 4), 0),
@@ -119,7 +123,7 @@ def test_ragged_and_empty_matrices_rejected():
     with pytest.raises(ValueError):
         UtilityMatrix.from_strings([["1/2", "1/2"], ["1"]])
     with pytest.raises(ValueError):
-        UtilityMatrix(())
+        UtilityMatrix.from_columns(())
 
 
 def test_integer_grid_is_exact():
@@ -130,11 +134,50 @@ def test_integer_grid_is_exact():
     assert x.n == 2 and x.m == 3
 
 
-def test_from_rows_matches_columns():
-    rows = [(Fraction(1, 2), Fraction(1, 3)), (Fraction(1, 2), Fraction(2, 3))]
-    x = UtilityMatrix.from_rows(rows)
-    assert x.columns == ((Fraction(1, 2), Fraction(1, 2)), (Fraction(1, 3), Fraction(2, 3)))
-    assert x.rows() == rows
+def test_scale_is_reduced_to_the_least_denominator():
+    x = UtilityMatrix(((2, 2), (4, 0)), 4)
+    assert (x.grid, x.scale) == (((1, 1), (2, 0)), 2)
+    assert x == UtilityMatrix.from_strings([["1/2", "1/2"], ["1", "0"]])
+
+
+def test_from_weights_rejections():
+    with pytest.raises(NegativeUtility) as exc:
+        UtilityMatrix.from_weights([[1, 1], [2, -1]])
+    assert (exc.value.item, exc.value.agent) == (2, 2)
+    # a column whose total is not positive still reports its negative weight
+    with pytest.raises(NegativeUtility) as exc:
+        UtilityMatrix.from_weights([[1, 1], [-3, 1]])
+    assert (exc.value.item, exc.value.agent) == (1, 2)
+    with pytest.raises(ColumnNotNormalized) as exc:
+        UtilityMatrix.from_weights([[1, 1], [0, 0]])
+    assert (exc.value.column, exc.value.total) == (2, 0)
+    with pytest.raises(ValueError):
+        UtilityMatrix.from_weights([[0.5, 0.5]])
+
+
+@pytest.mark.parametrize("bad", [0.5, True])
+def test_grid_entries_must_be_ints(bad):
+    # (bad, 1 - bad) sums to the scale, so only the entry type is wrong
+    with pytest.raises(ValueError, match="integers"):
+        UtilityMatrix(((1, 0), (bad, 1 - bad)), 1)
+
+
+@pytest.mark.parametrize("scale", [0, -2, True, Fraction(2)])
+def test_scale_must_be_a_positive_int(scale):
+    with pytest.raises(ValueError, match="scale"):
+        UtilityMatrix(((int(scale),),), scale)
+
+
+def test_hot_paths_never_build_the_fraction_view():
+    w = solve_p_nn(12)
+    built = [
+        lower_construction(50),
+        build_witness_matrix(w.s, w.r, 12),
+        next(fuzz_instances(5, 1, seed=0)),
+    ]
+    for x in built:
+        assert price_ratio(x).ratio is not None
+        assert "columns" not in vars(x)
 
 
 # --- welfare on the frozen 3x3 worst case ----------------------------------
@@ -212,7 +255,7 @@ def test_long_augmenting_paths_do_not_recurse():
         col[n - 2 - j] = col[n - 1 - j] = half
         cols.append(tuple(col))
     cols.append((Fraction(1),) + (zero,) * (n - 1))
-    report = price_ratio(UtilityMatrix(tuple(cols)))
+    report = price_ratio(UtilityMatrix.from_columns(tuple(cols)))
     assert report.envy_free_optimal == 1 + Fraction(n - 1, 2)
     assert report.ratio == 1
 
@@ -230,7 +273,7 @@ def test_square_matching_agrees_with_enumeration():
     for _ in range(200):
         n = rng.randint(2, 4)
         cols = random_columns(rng, n, n)
-        x = UtilityMatrix(cols)
+        x = UtilityMatrix.from_columns(cols)
         expected = brute_ef_optimum(cols)
         got = envy_free_matching(x)
         if expected is None:
@@ -254,7 +297,8 @@ def test_all_envy_free_bijections_share_welfare():
         assert len(welfares) <= 1
         if welfares:
             checked += 1
-            assert welfares == {envy_free_optimal_welfare(UtilityMatrix(cols))}
+            x = UtilityMatrix.from_columns(cols)
+            assert welfares == {envy_free_optimal_welfare(x)}
     assert checked > 50
 
 
@@ -264,7 +308,7 @@ def test_exhaustive_matches_oracle_off_square():
         n = rng.randint(2, 3)
         m = rng.randint(n, n + 2)
         cols = random_columns(rng, n, m)
-        x = UtilityMatrix(cols)
+        x = UtilityMatrix.from_columns(cols)
         assert envy_free_optimal_exhaustive(x) == brute_ef_optimum(cols)
         assert optimal_welfare(x)[0] == brute_optimum(cols)
 
@@ -284,7 +328,7 @@ def instances(draw, max_n=4, square=True):
         )
         s = sum(w)
         cols.append(tuple(Fraction(a, s) for a in w))
-    return UtilityMatrix(tuple(cols))
+    return UtilityMatrix.from_columns(tuple(cols))
 
 
 @settings(deadline=None, max_examples=120)
@@ -318,8 +362,38 @@ def test_instance_dict_round_trip(x):
 def test_price_ratio_ignores_item_order(x, rng):
     order = list(range(x.m))
     rng.shuffle(order)
-    permuted = UtilityMatrix(tuple(tuple(col[i] for i in order) for col in x.columns))
+    permuted = UtilityMatrix.from_columns([[col[i] for i in order] for col in x.columns])
     assert price_ratio(permuted) == price_ratio(x)
+
+
+@st.composite
+def weight_columns(draw, max_n=4, max_m=5):
+    n = draw(st.integers(1, max_n))
+    m = draw(st.integers(1, max_m))
+    column = st.lists(st.integers(0, 8), min_size=m, max_size=m).filter(any)
+    return [draw(column) for _ in range(n)]
+
+
+@settings(deadline=None, max_examples=150)
+@given(weight_columns(), st.lists(st.integers(1, 6), min_size=4, max_size=4))
+def test_constructors_agree(weights, factors):
+    normalized = [[Fraction(w, sum(col)) for w in col] for col in weights]
+    x = UtilityMatrix.from_weights(weights)
+    others = [
+        UtilityMatrix.from_weights([[w * f for w in col] for col, f in zip(weights, factors)]),
+        UtilityMatrix.from_columns(normalized),
+        UtilityMatrix.from_strings([[format_rational(v) for v in col] for col in normalized]),
+    ]
+    assert x.columns == tuple(map(tuple, normalized))
+    for y in others:
+        assert (y.grid, y.scale, y.columns) == (x.grid, x.scale, x.columns)
+        assert y == x and hash(y) == hash(x)
+
+
+@settings(deadline=None, max_examples=60)
+@given(instances(max_n=3, square=False), st.integers(1, 2))
+def test_price_ratio_ignores_worthless_items(x, extra):
+    assert price_ratio(with_worthless_items(x, extra)) == price_ratio(x)
 
 
 # --- instance files --------------------------------------------------------

@@ -266,6 +266,8 @@ def test_witness_json_round_trip(tmp_path):
         {"n": 2, "s": [True, True], "r": [True, True], "ratio": "1"},
         5,
         [2, [0, 2], [0, 2], "1"],
+        {"n": 2, "s": [0, 2], "r": [0, 2], "ratio": True},
+        {"n": 2, "s": [0, 2], "r": [0, 2], "ratio": "x"},
     ],
 )
 def test_witness_dict_rejections(payload):

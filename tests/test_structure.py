@@ -239,11 +239,11 @@ def test_canonicalize_random_instances():
     done = 0
     while done < 80:
         n = rng.randint(2, 5)
-        x = UtilityMatrix(random_columns(rng, n, n))
+        x = UtilityMatrix.from_columns(random_columns(rng, n, n))
         if envy_free_optimal_welfare(x) is None:
             continue
         out = canonicalize(x)
-        assert sorted(out.rows()) == sorted(x.rows())
+        assert sorted(zip(*out.columns)) == sorted(zip(*x.columns))
         assert is_envy_free(out, tuple(range(n)))
         assert price_ratio(out) == price_ratio(x)
         done += 1
@@ -403,7 +403,7 @@ def test_reduce_contracts_random():
     while done < 60:
         n = rng.randint(2, 3)
         m = rng.randint(n, n + 2)
-        x = UtilityMatrix(random_columns(rng, n, m))
+        x = UtilityMatrix.from_columns(random_columns(rng, n, m))
         from envyprice.core import envy_free_optimal_exhaustive
 
         found = envy_free_optimal_exhaustive(x)
@@ -430,7 +430,7 @@ def test_smoothing_never_decreases_ratio():
         rng = random.Random(f"structure:monotone:{n}")
         done = 0
         while done < 500:
-            x = UtilityMatrix(random_columns(rng, n, n))
+            x = UtilityMatrix.from_columns(random_columns(rng, n, n))
             if envy_free_optimal_welfare(x) is None:
                 continue
             counts = check_smoothing_monotonicity(x)

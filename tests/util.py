@@ -162,4 +162,4 @@ def random_canonical_leveled(rng, n):
         else:
             col = [Fraction(1, n)] * n
         cols.append(tuple(col))
-    return UtilityMatrix(tuple(cols)), block
+    return UtilityMatrix.from_columns(tuple(cols)), block
