@@ -226,10 +226,11 @@ class UtilityMatrix:
 
     @classmethod
     def from_columns(cls, columns: Sequence[Sequence[Fraction]]) -> "UtilityMatrix":
-        """Build from columns of rationals, each summing to exactly 1; an
-        entry that is not a Fraction is coerced with ``Fraction(v)``."""
+        """Build from columns of rationals, each summing to exactly 1. Entries
+        other than Fractions pass through ``Fraction(v)``; floats are refused."""
         # Fractions are kept: re-creating one per entry is slow on large matrices.
-        cols = [[v if type(v) is Fraction else Fraction(v) for v in col] for col in columns]
+        cols = [[v if type(v) is Fraction else _exact(v, i, j) for i, v in enumerate(col)]
+                for j, col in enumerate(columns)]
         denominators = {v.denominator for col in cols for v in col}
         scale = math.lcm(*denominators)
         factor = {d: scale // d for d in denominators}
@@ -253,6 +254,12 @@ class UtilityMatrix:
     @classmethod
     def from_strings(cls, columns: Sequence[Sequence[Union[str, int]]]) -> "UtilityMatrix":
         return cls.from_columns([[parse_rational(v) for v in col] for col in columns])
+
+
+def _exact(v: Any, item: int, agent: int) -> Fraction:
+    if isinstance(v, float):
+        raise ValueError(f"entry ({item + 1}, {agent + 1}) is a float; use a Fraction")
+    return Fraction(v)
 
 
 def _int_columns(columns: Sequence[Sequence[int]]) -> tuple[tuple[int, ...], ...]:

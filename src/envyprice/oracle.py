@@ -20,10 +20,10 @@ items the allocation assigns to its agent and has column maximum 1/s, so an
 instance collapses to per-agent pairs (s_j, t_j) with sum t_j <= n; the
 ratio of such a configuration is (sum t_j/s_j) / (sum 1/s_j).
 
-oracle_alpha maximizes sum (t_j - alpha)/s_j by dynamic programming over
-the shared item budget, exactly: for a fixed t the best support size is
-forced by the sign of t - alpha (smallest legal when positive, n when
-negative), which leaves a one-dimensional knapsack over the t_j.
+oracle_alpha maximizes sum (t_j - alpha)/s_j exactly: for a fixed t the best
+support size is forced by the sign of t - alpha (smallest legal when
+positive, n when negative), and the agents are identical, which leaves an
+unbounded knapsack of capacity n over the positive t_j, O(n^2) per step.
 """
 
 from __future__ import annotations
@@ -32,6 +32,7 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import add
 from typing import Iterator
 
 from .core import UtilityMatrix, dinkelbach, envy_free_matching
@@ -105,51 +106,43 @@ def _oracle_dp(n: int, alpha: Fraction) -> tuple[Fraction, VertexConfig]:
     """Exact maximum of sum (t_j - alpha)/s_j with a maximizing config.
 
     Integer scoring: with L = lcm(1..n) and alpha = p/q, an agent taking t
-    items at support size s scores (t*q - p) * (L // s); the true objective
-    is the total divided by q*L.
+    items scores val[t] = (t*q - p) * (L // s_for[t]); the true objective is
+    the total divided by q*L. Positive t summing to at most n fit in n
+    agents, the rest taking t = 0, so the maximum is n*val[0] plus an
+    unbounded knapsack of capacity n with gains val[t] - val[0] > 0, which
+    the optimum fills. Each capacity is keyed on (gain, -count), and the
+    rebuild takes the smallest t whose remainder still reaches the key, so
+    ties go to the fewest item-holding agents, then to the smallest t first.
     """
     p, q = alpha.numerator, alpha.denominator
     scale = math.lcm(*range(1, n + 1))
-    s_for = [0] * (n + 1)
-    val = [0] * (n + 1)
-    for t in range(n + 1):
-        margin = t * q - p
-        s_for[t] = max(t, 1) if margin >= 0 else n
-        val[t] = margin * (scale // s_for[t])
+    s_for = [max(t, 1) if t * q >= p else n for t in range(n + 1)]
+    val = [(t * q - p) * (scale // s) for t, s in enumerate(s_for)]
 
-    # dp over agents; budget axis is the exact number of items used so far
-    dp = val[:]
-    choice = [list(range(n + 1))]
-    for _ in range(1, n):
-        nxt = [0] * (n + 1)
-        picked = [0] * (n + 1)
-        for b in range(n + 1):
-            best = None
-            best_t = 0
-            for t in range(b + 1):  # ascending: ties keep the smallest t
-                cand = dp[b - t] + val[t]
-                if best is None or cand > best:
-                    best, best_t = cand, t
-            nxt[b] = best
-            picked[b] = best_t
-        dp = nxt
-        choice.append(picked)
+    # (gain, -count) packed as gain*(n+1) - count: count <= n keeps the order
+    # lexicographic, and the keys of disjoint multisets add
+    w = [(v - val[0]) * (n + 1) - 1 for v in val]
+    key = [0] * (n + 1)
+    for c in range(1, n + 1):
+        key[c] = max(map(add, key[c - 1 :: -1], w[1 : c + 1]))
 
-    b_star = max(range(n + 1), key=lambda b: (dp[b], -b))
-    pairs = []
-    b = b_star
-    for layer in range(n - 1, -1, -1):
-        t = choice[layer][b]
-        pairs.append((s_for[t], t))
-        b -= t
-    objective = Fraction(dp[b_star], q * scale)
-    return objective, VertexConfig(tuple(pairs))
+    hits, c = [], n
+    while c:
+        t = next(t for t in range(1, c + 1) if key[c - t] + w[t] == key[c])
+        hits.append(t)
+        c -= t
+    hits += [0] * (n - len(hits))
+    pairs = tuple((s_for[t], t) for t in hits)
+    return Fraction(sum(val[t] for t in hits), q * scale), VertexConfig(pairs)
 
 
 def oracle_alpha(n: int, alpha: Fraction) -> Fraction:
     """Exact maximum over configs of sum (t_j - alpha)/s_j, sum t_j <= n.
 
     Nonnegative iff the worst-case ratio is at least alpha.
+
+    >>> oracle_alpha(3, Fraction(8, 7))
+    Fraction(0, 1)
     """
     if n < 1:
         raise ValueError("n must be positive")

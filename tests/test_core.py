@@ -8,6 +8,7 @@ from hypothesis import given, settings
 import hypothesis.strategies as st
 
 import envyprice.core
+import envyprice.oracle
 from envyprice.bounds import lower_construction, with_worthless_items
 from envyprice.core import (
     Allocation,
@@ -117,6 +118,16 @@ def test_non_fraction_entries_are_coerced():
     assert x.grid == ((12, 0, 0), (4, 0, 8), (3, 9, 0))
     assert x == UtilityMatrix.from_strings([["1", "0", "0"], ["1/3", "0", "2/3"],
                                             ["1/4", "3/4", "0"]])
+
+
+def test_float_entries_rejected_with_their_position():
+    # 0.5 is exact in binary, 0.1 is not: both are refused the same way
+    with pytest.raises(ValueError, match=r"entry \(1, 1\) is a float"):
+        UtilityMatrix.from_columns([[0.5, 0.5]])
+    with pytest.raises(ValueError, match=r"entry \(1, 1\) is a float"):
+        UtilityMatrix.from_columns([[0.1, 0.9]])
+    with pytest.raises(ValueError, match=r"entry \(2, 2\) is a float"):
+        UtilityMatrix.from_columns([[1, 0], [Fraction(1, 2), 0.5]])
 
 
 def test_ragged_and_empty_matrices_rejected():
@@ -261,9 +272,10 @@ def test_long_augmenting_paths_do_not_recurse():
 
 
 def test_module_doctests_pass():
-    result = doctest.testmod(envyprice.core)
-    assert result.attempted > 0
-    assert result.failed == 0
+    for module in (envyprice.core, envyprice.oracle):
+        result = doctest.testmod(module)
+        assert result.attempted > 0, module.__name__
+        assert result.failed == 0, module.__name__
 
 
 # --- cross-checks against the literal enumeration oracle -------------------

@@ -1,8 +1,12 @@
+import ast
+import random
 from fractions import Fraction
 from itertools import combinations_with_replacement
+from pathlib import Path
 
 import pytest
 
+import envyprice.oracle
 from envyprice.core import envy_free_matching, price_ratio
 from envyprice.oracle import (
     LayoutInfeasible,
@@ -107,6 +111,14 @@ def test_dp_matches_literal_enumeration_n5():
     assert [oracle_alpha(5, a) for a in grid] == _literal_best(5, grid)
 
 
+def test_dp_matches_literal_enumeration_on_seeded_alphas():
+    rng = random.Random("oracle:alpha-grid")
+    for n in range(1, 6):
+        grid = [F(0), F(n), F(n + 1), F(5 * n, 2)]
+        grid += [F(rng.randint(0, 3 * n * 7), rng.randint(1, 7)) for _ in range(5)]
+        assert [oracle_alpha(n, a) for a in grid] == _literal_best(n, grid), n
+
+
 # --- the ratio ----------------------------------------------------------------
 
 def test_oracle_reference_values_and_configs():
@@ -119,8 +131,33 @@ def test_oracle_reference_values_and_configs():
 
 def test_oracle_agrees_with_solver():
     # two independent search spaces, one answer
-    for n in [*range(1, 13), 20, 35, 50]:
+    for n in [*range(1, 13), 20, 35, 50, 80, 100, 150]:
         assert oracle_p_nn(n)[0] == solve_p_nn(n).ratio
+
+
+@pytest.mark.parametrize("k", [3, 4, 5])
+def test_oracle_tie_points_keep_fewest_hit_agents(k):
+    # at n = k(k+1), k agents at (k+1, k+1) tie with k+1 agents at (k, k);
+    # the oracle returns the config with fewer agents holding items
+    n = k * (k + 1)
+    value, cfg = oracle_p_nn(n)
+    assert cfg.pairs == ((k + 1, k + 1),) * k + ((n, 0),) * (n - k)
+    assert VertexConfig(((k, k),) * (k + 1) + ((n, 0),) * (n - k - 1)).ratio == value
+
+
+def test_oracle_imports_only_core():
+    # the oracle is an independent search: it must not reuse the solver's
+    # program, the structural lemmas or the bounds
+    tree = ast.parse(Path(envyprice.oracle.__file__).read_text())
+    relative = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.level > 0:
+            relative.add(node.module)
+        elif isinstance(node, ast.ImportFrom):
+            assert not node.module.startswith("envyprice"), node.module
+        elif isinstance(node, ast.Import):
+            assert not any(a.name.startswith("envyprice") for a in node.names)
+    assert relative == {"core"}
 
 
 def test_oracle_input_validation():
