@@ -110,8 +110,8 @@ MAX_RATIO_STEPS = 100_000
 class RatioSearchFailed(RuntimeError):
     """The ratio search `dinkelbach`, which the solver and the oracle share,
     broke an invariant that guarantees it terminates: it ran past
-    `MAX_RATIO_STEPS` steps, or met a negative objective at a ratio that
-    some candidate attains."""
+    `MAX_RATIO_STEPS` steps, or met a negative objective, which means its
+    start or a step's maximizer lies above the optimum."""
 
     def __init__(self, n: int, detail: str):
         self.n = n
@@ -119,24 +119,26 @@ class RatioSearchFailed(RuntimeError):
 
 
 def dinkelbach(
-    n: int, step: Callable[[Fraction], tuple[Fraction, Any]]
+    n: int, step: Callable[[Fraction], tuple[Fraction, Any]], start: Fraction
 ) -> tuple[Fraction, Any]:
     """Exact Dinkelbach iteration for the largest attainable ratio num/den.
 
     ``step(alpha)`` returns the maximum of num - alpha*den over a finite
     candidate set, with a maximizer whose ``ratio`` is its own num/den.
-    Starting at alpha = 1, alpha jumps to that ratio until the maximum is
-    zero; each jump strictly raises alpha among the attainable ratios, so
-    the search ends. Returns (alpha, maximizer) from the zero-objective step.
+    Starting at alpha = ``start``, alpha jumps to that ratio until the
+    maximum is zero; each jump strictly raises alpha among the attainable
+    ratios, so the search ends. ``start`` must not exceed the optimum: the
+    ratio of any candidate will do, and the closer it is, the fewer steps.
+    Returns (alpha, maximizer) from the zero-objective step.
     """
-    alpha = Fraction(1)
+    alpha = start
     for _ in range(MAX_RATIO_STEPS):
         objective, best = step(alpha)
         if objective == 0:
             return alpha, best
         if objective < 0:
             raise RatioSearchFailed(
-                n, f"objective {objective} below zero at attainable ratio {alpha}"
+                n, f"objective {objective} below zero at ratio {alpha}"
             )
         alpha = best.ratio
     raise RatioSearchFailed(
@@ -147,6 +149,24 @@ def dinkelbach(
 def _is_int(value: object) -> bool:
     """True for an int that is not a bool (JSON true/false load as bool)."""
     return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _check_n(n: object) -> None:
+    """Reject an n that is not a positive int (floats and bools included)."""
+    if not _is_int(n):
+        raise ValueError(f"n must be an int, got {n!r}")
+    if n < 1:
+        raise ValueError("n must be positive")
+
+
+def _check_alpha(alpha: object) -> Fraction:
+    """alpha as a Fraction; only nonnegative ints and Fractions are taken,
+    since a float would be read as its binary expansion."""
+    if not (_is_int(alpha) or isinstance(alpha, Fraction)):
+        raise ValueError(f"alpha must be an int or a Fraction, got {alpha!r}")
+    if alpha < 0:
+        raise ValueError("alpha must be nonnegative")
+    return Fraction(alpha)
 
 
 def parse_rational(text: Union[str, int]) -> Fraction:

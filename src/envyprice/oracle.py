@@ -35,7 +35,13 @@ from fractions import Fraction
 from operator import add
 from typing import Iterator
 
-from .core import UtilityMatrix, dinkelbach, envy_free_matching
+from .core import (
+    UtilityMatrix,
+    _check_alpha,
+    _check_n,
+    dinkelbach,
+    envy_free_matching,
+)
 
 __all__ = [
     "VertexConfig",
@@ -144,23 +150,30 @@ def oracle_alpha(n: int, alpha: Fraction) -> Fraction:
     >>> oracle_alpha(3, Fraction(8, 7))
     Fraction(0, 1)
     """
-    if n < 1:
-        raise ValueError("n must be positive")
-    alpha = Fraction(alpha)
-    if alpha < 0:
-        raise ValueError("alpha must be nonnegative")
-    return _oracle_dp(n, alpha)[0]
+    _check_n(n)
+    return _oracle_dp(n, _check_alpha(alpha))[0]
+
+
+def _start_config(n: int) -> VertexConfig:
+    """The square-root construction as a config: k = isqrt(n) agents of
+    support k hitting all k items, then n - k agents of full support, the
+    first of them holding the n - k^2 items left."""
+    k = math.isqrt(n)
+    full = [(n, n - k * k)] + [(n, 0)] * (n - k - 1) if n > k else []
+    return VertexConfig(((k, k),) * k + tuple(full))
 
 
 def oracle_p_nn(n: int) -> tuple[Fraction, VertexConfig]:
     """Exact worst-case ratio over configs, with a maximizing config.
 
     Exact Dinkelbach iteration (`core.dinkelbach`) over `_oracle_dp`,
-    started at alpha = 1.
+    started at the ratio of the square-root construction
+    (`_start_config`), which is attainable and so at most the optimum.
     """
-    if n < 1:
-        raise ValueError("n must be positive")
-    return dinkelbach(n, lambda alpha: _oracle_dp(n, alpha))
+    _check_n(n)
+    return dinkelbach(
+        n, lambda alpha: _oracle_dp(n, alpha), _start_config(n).ratio
+    )
 
 
 def realize_config(cfg: VertexConfig, n: int) -> UtilityMatrix:

@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 
 import envyprice.oracle
-from envyprice.core import envy_free_matching, price_ratio
+from envyprice.core import dinkelbach, envy_free_matching, price_ratio
 from envyprice.oracle import (
     LayoutInfeasible,
     RejectionCapExceeded,
@@ -163,6 +163,32 @@ def test_oracle_imports_only_core():
 def test_oracle_input_validation():
     with pytest.raises(ValueError):
         oracle_p_nn(0)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: oracle_alpha(5, 1.3),
+        lambda: oracle_alpha(5, False),
+        lambda: oracle_alpha(5.0, F(1)),
+        lambda: oracle_p_nn(2.5),
+        lambda: oracle_p_nn(2.0),
+        lambda: oracle_p_nn(True),
+    ],
+    ids=["alpha-float", "alpha-bool", "n-float", "search-n-float", "search-n-whole-float",
+         "search-n-bool"],
+)
+def test_floats_and_non_int_n_are_rejected(call):
+    with pytest.raises(ValueError, match="must be an int"):
+        call()
+
+
+def test_warm_start_matches_a_start_at_one():
+    # the search started at alpha = 1 is the oracle as it ran before the
+    # warm start; the last step runs at the optimum either way
+    for n in range(1, 151):
+        cold = dinkelbach(n, lambda alpha: envyprice.oracle._oracle_dp(n, alpha), F(1))
+        assert oracle_p_nn(n) == cold, n
 
 
 # --- realization ---------------------------------------------------------------

@@ -1,10 +1,12 @@
 import math
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 
 from envyprice import core, oracle, solver
+from envyprice.bounds import construction_ratio
 from envyprice.core import RatioSearchFailed
 from envyprice.solver import (
     FULL_ENUMERATION_LIMIT,
@@ -123,8 +125,8 @@ def _scored_family(n):
 
 
 def test_alpha_matches_scoring_the_whole_family():
-    # the scan scores at most four a per (k, b) block; the reference scores
-    # all of them. Integer alphas 2..n-1 make the rising slope q*k - p zero
+    # the scan scores one a per (k, b) block; the reference scores all of
+    # them. Integer alphas 2..n-1 make the rising slope q*k - p zero
     # at k = alpha, where a whole range of a ties.
     rng = random.Random(20141)
     for n in range(3, 41):
@@ -138,6 +140,51 @@ def test_alpha_matches_scoring_the_whole_family():
             num, den, s, r = max(scored, key=lambda v: q * v[0] - p * v[1])
             objective, w = solve_alpha(n, alpha)
             assert (objective, w.s, w.r) == (F(q * num - p * den, q * scale), s, r), (n, alpha)
+
+
+def _four_point_scan(n, p, q, wgt):
+    """Reference: the restricted scan as it scored each block before the
+    closed-form pick, at the ends of the range and the integers around the
+    break R/k, clipped to the range, ties to the least s."""
+    best_key = None
+    best_s = None
+    for k, b, a_lo, a_hi in solver._restricted_blocks(n):
+        filled = min(n, (k - 1) * b)
+        rest = n - filled
+        gain = wgt[k] - wgt[n]
+        f0 = filled * wgt[k - 1] + rest * wgt[n]
+        g0 = b * wgt[k - 1] + (n - b) * wgt[n]
+        lo, hi = rest // k, -(-rest // k)
+        for a in {a_lo, a_hi, min(max(lo, a_lo), a_hi), min(max(hi, a_lo), a_hi)}:
+            key = q * (f0 + min(rest, k * a) * gain) - p * (g0 + a * gain)
+            if best_key is None or key > best_key:
+                best_key = key
+                best_s = solver._pairs_to_s(solver._block_pairs(n, k, b, a), n)
+            elif key == best_key:
+                s = solver._pairs_to_s(solver._block_pairs(n, k, b, a), n)
+                if s < best_s:
+                    best_s = s
+    return best_key, best_s
+
+
+def test_closed_form_pick_matches_the_four_point_scan():
+    # alpha = 0 makes the falling slope -p flat; alpha = k makes the rising
+    # slope q*k - p zero; alphas above n make every slope fall; p(n) +- 1/1000
+    # straddle the optimum the last Dinkelbach step sits on
+    rng = random.Random(20147)
+    for n in range(2, 61):
+        scale = math.lcm(*range(1, n + 1))
+        wgt = [0] + [scale // i for i in range(1, n + 1)]
+        ratio = solve_p_nn(n).ratio
+        alphas = {F(0), F(n + 1), F(5 * n, 3), ratio - F(1, 1000), ratio + F(1, 1000)}
+        alphas.update(F(k) for k in range(1, n + 1))
+        alphas.update(F(rng.randint(0, 3 * n), rng.randint(1, 60)) for _ in range(4))
+        for alpha in alphas:
+            p, q = alpha.numerator, alpha.denominator
+            key, s = _four_point_scan(n, p, q, wgt)
+            want = (F(key, q * scale), s, solver._greedy_fill(s, n))
+            objective, w = solve_alpha(n, alpha)
+            assert (objective, w.s, w.r) == want, (n, alpha)
 
 
 # --- candidate generation ------------------------------------------------------
@@ -194,6 +241,68 @@ def test_full_enumeration_guard():
 def test_options_validation():
     with pytest.raises(ValueError):
         solve_p_nn(0)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: solve_alpha(5, 1.3),
+        lambda: solve_alpha(5, True),
+        lambda: solve_alpha(5, "3/2"),
+        lambda: solve_alpha(2.0, F(1)),
+        lambda: sparse_witness_exists(4, 1.5),
+        lambda: solve_p_nn(True),
+        lambda: solve_p_nn(2.0),
+        lambda: solve_p_nn(F(3)),
+    ],
+    ids=["alpha-float", "alpha-bool", "alpha-str", "n-float", "sparse-float",
+         "n-bool", "n-float-solve", "n-fraction"],
+)
+def test_floats_and_non_int_n_are_rejected(call):
+    # a float alpha would be read as its 53-bit binary expansion
+    with pytest.raises(ValueError, match="must be an int"):
+        call()
+
+
+def test_int_alpha_is_accepted():
+    assert solve_alpha(5, 1) == solve_alpha(5, F(1))
+    assert sparse_witness_exists(4, F(4, 3)) and not sparse_witness_exists(4, 2)
+
+
+# --- the warm start -----------------------------------------------------------
+
+def test_start_ratio_is_the_construction_ratio():
+    for n in range(1, 301):
+        assert solver._start_ratio(n) == construction_ratio(n), n
+        assert oracle._start_config(n).ratio == construction_ratio(n), n
+
+
+def test_warm_start_takes_at_most_three_steps(monkeypatch):
+    inner = solver.solve_alpha
+    calls = Counter()
+
+    def counting(n, alpha, options=None):
+        calls[n] += 1
+        return inner(n, alpha, options)
+
+    monkeypatch.setattr(solver, "solve_alpha", counting)
+    for n in range(1, 301):
+        solve_p_nn(n)
+    assert sorted(calls) == list(range(1, 301))
+    assert {n: c for n, c in calls.items() if c > 3} == {}
+
+
+def test_warm_start_returns_the_witness_of_a_start_at_one():
+    for n in range(1, 61):
+        ratio, cold = core.dinkelbach(n, lambda alpha: solve_alpha(n, alpha), F(1))
+        assert solve_p_nn(n) == cold and cold.ratio == ratio, n
+
+
+def test_dinkelbach_started_above_the_optimum_fails():
+    for n in (3, 7, 20):
+        above = solve_p_nn(n).ratio + F(1, 1000)
+        with pytest.raises(RatioSearchFailed, match="below zero"):
+            core.dinkelbach(n, lambda alpha: solve_alpha(n, alpha), above)
 
 
 def test_ratio_search_failures_are_typed(monkeypatch):
