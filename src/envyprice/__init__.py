@@ -15,7 +15,6 @@ from .bounds import (
     explore_witness,
     g_of_d,
     lower_construction,
-    pof_n_interval,
     upper_g_max,
 )
 from .core import (
@@ -116,6 +115,5 @@ __all__ = [
     "explore_witness",
     "g_of_d",
     "lower_construction",
-    "pof_n_interval",
     "upper_g_max",
 ]

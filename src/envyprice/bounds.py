@@ -20,18 +20,16 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .core import SearchSpaceTooLarge, UtilityMatrix, price_ratio
+from .core import SearchSpaceTooLarge, UtilityMatrix, _check_n, price_ratio
 
 __all__ = [
     "BoundReport",
-    "DomainError",
     "lower_construction",
     "construction_ratio",
     "g_of_d",
     "upper_g_max",
     "check_upper_bound",
     "check_lower_bound",
-    "pof_n_interval",
     "bound_report",
     "explore_witness",
     "with_worthless_items",
@@ -41,18 +39,11 @@ __all__ = [
 EXPLORE_ALLOCATION_CAP = 4 ** 8
 
 
-class DomainError(ValueError):
-    def __init__(self, n: int, detail: str):
-        self.n = n
-        super().__init__(f"DomainError({n}): {detail}")
-
-
 def lower_construction(n: int) -> UtilityMatrix:
     """The square-root instance: a = floor(sqrt n) agents uniform on
     disjoint k-item blocks (agent t on items t*k .. t*k+k-1), the remaining
     n - a agents uniform on everything."""
-    if n < 1:
-        raise ValueError("n must be positive")
+    _check_n(n)
     k = math.isqrt(n)
     blocks = [[0] * (t * k) + [1] * k + [0] * (n - (t + 1) * k) for t in range(k)]
     return UtilityMatrix.from_weights(blocks + [[1] * n] * (n - k))
@@ -61,8 +52,7 @@ def lower_construction(n: int) -> UtilityMatrix:
 def construction_ratio(n: int) -> Fraction:
     """Closed-form price ratio of lower_construction(n): with a = k =
     floor(sqrt n), (a + (n-ak)/n) / (a/k + (n-a)/n)."""
-    if n < 1:
-        raise ValueError("n must be positive")
+    _check_n(n)
     a = k = math.isqrt(n)
     num = a + Fraction(n - a * k, n)
     den = Fraction(a, k) + Fraction(n - a, n)
@@ -71,8 +61,7 @@ def construction_ratio(n: int) -> Fraction:
 
 def g_of_d(n: int, d: Fraction) -> Fraction:
     """The ceiling curve n(d+1)/(d^2+n); equals 1 at d = 0 and d = n."""
-    if n < 1:
-        raise ValueError("n must be positive")
+    _check_n(n)
     d = Fraction(d)
     if d < 0:
         raise ValueError("d must be nonnegative")
@@ -82,8 +71,7 @@ def g_of_d(n: int, d: Fraction) -> Fraction:
 def upper_g_max(n: int) -> Fraction:
     """max of g_of_d(n, d) over integer d in 0..n, an upper bound on the
     worst-case ratio."""
-    if n < 1:
-        raise ValueError("n must be positive")
+    _check_n(n)
     return max(g_of_d(n, Fraction(d)) for d in range(n + 1))
 
 
@@ -93,6 +81,7 @@ def check_upper_bound(n: int, p: Fraction) -> bool:
     For p above 1 + 1/n both sides of 2(p - 1 - 1/n) <= sqrt(n) are
     positive, so squaring is an equivalence.
     """
+    _check_n(n)
     p = Fraction(p)
     if p < 0:
         raise ValueError("p must be nonnegative")
@@ -104,18 +93,11 @@ def check_upper_bound(n: int, p: Fraction) -> bool:
 
 def check_lower_bound(n: int, p: Fraction) -> bool:
     """Exactly decide p >= sqrt(n)/2 - 1/2, i.e. (2p + 1)^2 >= n."""
+    _check_n(n)
     p = Fraction(p)
     if p < 0:
         raise ValueError("p must be nonnegative")
     return (2 * p + 1) ** 2 >= n
-
-
-def pof_n_interval(n: int) -> tuple[Fraction, Fraction]:
-    """The aggregate-measure interval ((3n+7)/9, n - 1/2), defined for
-    n >= 2 only."""
-    if n < 2:
-        raise DomainError(n, "the aggregate interval is defined for n >= 2")
-    return Fraction(3 * n + 7, 9), Fraction(2 * n - 1, 2)
 
 
 @dataclass(frozen=True)

@@ -257,8 +257,7 @@ def fuzz_instances(
     Instance idx always draws from Random(f"fuzz:{seed}:{idx}"), so the
     emitted matrices do not depend on the budget.
     """
-    if n < 1:
-        raise ValueError("n must be positive")
+    _check_n(n)
     budget = attempts * count
     used = 0
     for idx in range(count):

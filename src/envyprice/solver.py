@@ -11,8 +11,10 @@ For a fixed s the best r is forced: fill the budget of n items into the
 smallest supported indices first (a unit at index i is worth 1/i). That
 collapses the search to s alone. Two outer searches are provided: the
 restricted family whose sub-n support is two consecutive sizes {k-1, k}
-(plus full-support columns), which contains an optimum, and a guarded full
-enumeration of all compositions used to cross-check it for small n.
+(plus full-support columns), which contains an optimum, and an exact DP
+over all compositions that does not assume that structure and
+cross-checks it (see `_scan_full`). The DP takes O(n^3) big-integer steps
+per call, so it is guarded to n <= FULL_ENUMERATION_LIMIT.
 
 The restricted family has O(n^2) vectors, in blocks (k, b): b columns of
 size k-1, a of size k for a range of a, full support on the rest. Within a
@@ -42,7 +44,6 @@ import math
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
-from itertools import combinations
 from typing import Iterator, Optional, Sequence
 
 from .core import (
@@ -72,7 +73,9 @@ __all__ = [
     "write_witness",
 ]
 
-FULL_ENUMERATION_LIMIT = 12
+# The full search's O(n^3) DP step takes about 3 s at n = 200 on a 2-core
+# x86 box; past this a typed error beats a run of many minutes.
+FULL_ENUMERATION_LIMIT = 200
 
 # Reference values for small n, used by the verify command and regression
 # tests: p(1)..p(9).
@@ -164,6 +167,7 @@ def _block_pairs(n: int, k: int, b: int, a: int) -> tuple[tuple[int, int], ...]:
 
 def lemma4_candidates(n: int) -> Iterator[tuple[int, ...]]:
     """The restricted s-vectors as full tuples, each summing to n."""
+    _check_n(n)
     if n < 2:
         raise ValueError("the restricted family needs n >= 2")
     for k, b, a_lo, a_hi in _restricted_blocks(n):
@@ -247,59 +251,45 @@ def _scan_restricted(
 def _scan_full(
     n: int, p: int, q: int, wgt: Sequence[int]
 ) -> tuple[int, tuple[int, ...]]:
-    """Best (key, s) over all compositions of n into n parts."""
-    best_key = None
-    best_s: Optional[tuple[int, ...]] = None
-    for v in range(n + 1):
-        rest = n - v
-        slots = rest + n - 2  # compositions of rest into n-1 parts
-        base_g = v * wgt[1]
-        base_f = min(n, v) * wgt[1]
-        base_budget = n - min(n, v)
-        for bars in combinations(range(slots), n - 2):
-            g = base_g
-            f = base_f
-            budget = base_budget
-            prev = -1
-            idx = 2
-            for bar in bars:
-                c = bar - prev - 1
-                if c:
-                    g += c * wgt[idx]
-                    if budget:
-                        take = idx * c
-                        if take > budget:
-                            take = budget
-                        f += take * wgt[idx]
-                        budget -= take
-                prev = bar
-                idx += 1
-            c = slots - prev - 1
-            if c:
-                g += c * wgt[n]
-                if budget:
-                    take = budget  # n*c never binds: c*n >= budget
-                    f += take * wgt[n]
-                    budget = 0
-            key = q * f - p * g
-            if best_key is None or key > best_key:
-                best_key = key
-                best_s = _decode_bars(v, bars, slots, n)
-            elif key == best_key:
-                s = _decode_bars(v, bars, slots, n)
-                if s < best_s:
-                    best_s = s
-    return best_key, best_s
+    """Best (key, s) over all compositions of n into n parts, by a DP.
 
+    Columns go in smallest size first, so the greedy fill is a running
+    count f of filled items: one more column of size i holds
+    t = min(i, n - f) of them and adds W(i)*(q*t - p) to the key. Let
+    best[c][f] be the most that sizes i..n add to c columns holding f
+    items. At size n it is the n - c full columns' closed form; below n,
 
-def _decode_bars(v: int, bars, slots: int, n: int) -> tuple[int, ...]:
-    s = [v]
-    prev = -1
-    for bar in bars:
-        s.append(bar - prev - 1)
-        prev = bar
-    s.append(slots - prev - 1)
-    return tuple(s)
+        best[c][f] = max(best_{i+1}[c][f], W(i)*(q*t - p) + best_i[c+1][f+t]),
+
+    filled in place for c = n-1 down to 0. Each column fills an item
+    until all n are, so only f >= c is reachable, and only those cells are
+    visited or read. take[i] marks where another column of size i is
+    strictly better; following it from (0, 0) takes the fewest columns of
+    each size in turn, which is the lexicographically least optimal s.
+    O(n^3) per call.
+    """
+    w = n + 1
+    best = [wgt[n] * (q * (n - f) - p * (n - c)) for c in range(w) for f in range(w)]
+    take = [bytearray()] * w
+    for i in range(n - 1, 0, -1):
+        marks = take[i] = bytearray(w * w)
+        for c in range(n - 1, -1, -1):
+            row = c * w
+            for f in range(c, w):
+                t = min(i, n - f)
+                key = wgt[i] * (q * t - p) + best[row + w + f + t]
+                if key > best[row + f]:
+                    best[row + f] = key
+                    marks[row + f] = 1
+    s = [0] * n
+    c = f = 0
+    for i in range(1, n):
+        while take[i][c * w + f]:
+            s[i - 1] += 1
+            c += 1
+            f += min(i, n - f)
+    s[n - 1] = n - c
+    return best[0], tuple(s)
 
 
 def _witness_ratio(s: Sequence[int], r: Sequence[int]) -> Fraction:

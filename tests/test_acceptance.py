@@ -76,15 +76,17 @@ def test_criterion_1_value_table():
 
 
 def test_criterion_2_oracle_equivalence():
-    with criterion(2, "oracle equivalence", budget=30.0):
+    # three independent searches: the restricted scan, the DP over every
+    # composition (which does not assume the restricted structure) and the
+    # vertex-configuration oracle
+    with criterion(2, "three-way agreement to n=100", budget=30.0):
         full = SolveOptions(search=Search.FULL_ENUMERATION)
-        for n in range(1, 13):
+        for n in [*range(1, 61), 80, 100]:
             w = solve_p_nn(n)
             value, _ = oracle_p_nn(n)
             assert value == w.ratio, n
             wf = solve_p_nn(n, full)
-            assert wf.ratio == w.ratio, n
-            assert (wf.s, wf.r) == (w.s, w.r), n
+            assert (wf.ratio, wf.s, wf.r) == (w.ratio, w.s, w.r), n
 
 
 def test_criterion_3_hundred_agent_table():

@@ -6,7 +6,6 @@ import pytest
 
 from envyprice.bounds import (
     BoundReport,
-    DomainError,
     bound_report,
     check_lower_bound,
     check_upper_bound,
@@ -14,12 +13,12 @@ from envyprice.bounds import (
     explore_witness,
     g_of_d,
     lower_construction,
-    pof_n_interval,
     upper_g_max,
     with_worthless_items,
 )
 from envyprice.core import SearchSpaceTooLarge, price_ratio
-from envyprice.solver import KNOWN_RATIOS, solve_p_nn
+from envyprice.oracle import fuzz_instances
+from envyprice.solver import KNOWN_RATIOS, lemma4_candidates, solve_p_nn
 from envyprice.structure import build_witness_matrix
 
 F = Fraction
@@ -147,19 +146,29 @@ def test_sandwich_and_construction_hold_exactly_to_300():
     assert elapsed < SANDWICH_300_BUDGET_S, f"{elapsed:.2f}s"
 
 
-# --- aggregate interval ------------------------------------------------------------
+# --- input validation ----------------------------------------------------------------
 
-def test_pof_interval():
-    assert pof_n_interval(2) == (F(13, 9), F(3, 2))
-    assert pof_n_interval(9) == (F(34, 9), F(17, 2))
-
-
-def test_pof_interval_domain():
-    for n in (0, 1):
-        with pytest.raises(DomainError) as err:
-            pof_n_interval(n)
-        assert err.value.n == n
-        assert f"DomainError({n})" in str(err.value)
+@pytest.mark.parametrize("n", [True, 2.0, 2.5, 0], ids=["bool", "float", "fraction-float", "zero"])
+@pytest.mark.parametrize(
+    "call",
+    [
+        lower_construction,
+        construction_ratio,
+        lambda n: g_of_d(n, F(1)),
+        upper_g_max,
+        lambda n: check_upper_bound(n, F(5)),
+        lambda n: check_lower_bound(n, F(1)),
+        lambda n: list(fuzz_instances(n, 1, 0)),
+        lambda n: list(lemma4_candidates(n)),
+    ],
+    ids=["lower_construction", "construction_ratio", "g_of_d", "upper_g_max",
+         "check_upper_bound", "check_lower_bound", "fuzz_instances", "lemma4_candidates"],
+)
+def test_n_must_be_a_positive_int(call, n):
+    # a bool or float n once gave a wrong answer, a ZeroDivisionError or a
+    # bare TypeError depending on the function
+    with pytest.raises(ValueError, match="n must be"):
+        call(n)
 
 
 # --- reports -------------------------------------------------------------------------

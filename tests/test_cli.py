@@ -23,10 +23,12 @@ def test_nn_prints_exact_fraction():
 
 
 def test_nn_modes_and_searches_agree():
-    for extra in ([], ["--search", "full"]):
-        result = invoke("nn", "--n", "7", *extra)
-        assert result.exit_code == 0
-        assert result.output == "63/40\n"
+    # n = 13 was past the old enumeration's guard; the DP reaches it
+    for n, want in (("7", "63/40\n"), ("13", "208/101\n")):
+        for extra in ([], ["--search", "full"]):
+            result = invoke("nn", "--n", n, *extra)
+            assert result.exit_code == 0
+            assert result.output == want
 
 
 def test_nn_approx_is_marked():
@@ -41,7 +43,7 @@ def test_nn_rejects_bad_n():
 
 
 def test_nn_full_search_guard_is_an_input_error():
-    result = invoke("nn", "--n", "13", "--search", "full")
+    result = invoke("nn", "--n", "201", "--search", "full")
     assert result.exit_code == 2
     assert "full enumeration is guarded" in result.output
 

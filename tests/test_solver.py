@@ -2,6 +2,8 @@ import math
 import random
 from collections import Counter
 from fractions import Fraction
+from itertools import combinations
+from typing import Optional, Sequence
 
 import pytest
 
@@ -185,6 +187,84 @@ def test_closed_form_pick_matches_the_four_point_scan():
             want = (F(key, q * scale), s, solver._greedy_fill(s, n))
             objective, w = solve_alpha(n, alpha)
             assert (objective, w.s, w.r) == want, (n, alpha)
+
+
+# Reference: the full search as it enumerated all C(2n-2, n-2) compositions
+# before the DP, kept verbatim.
+def _scan_full(
+    n: int, p: int, q: int, wgt: Sequence[int]
+) -> tuple[int, tuple[int, ...]]:
+    """Best (key, s) over all compositions of n into n parts."""
+    best_key = None
+    best_s: Optional[tuple[int, ...]] = None
+    for v in range(n + 1):
+        rest = n - v
+        slots = rest + n - 2  # compositions of rest into n-1 parts
+        base_g = v * wgt[1]
+        base_f = min(n, v) * wgt[1]
+        base_budget = n - min(n, v)
+        for bars in combinations(range(slots), n - 2):
+            g = base_g
+            f = base_f
+            budget = base_budget
+            prev = -1
+            idx = 2
+            for bar in bars:
+                c = bar - prev - 1
+                if c:
+                    g += c * wgt[idx]
+                    if budget:
+                        take = idx * c
+                        if take > budget:
+                            take = budget
+                        f += take * wgt[idx]
+                        budget -= take
+                prev = bar
+                idx += 1
+            c = slots - prev - 1
+            if c:
+                g += c * wgt[n]
+                if budget:
+                    take = budget  # n*c never binds: c*n >= budget
+                    f += take * wgt[n]
+                    budget = 0
+            key = q * f - p * g
+            if best_key is None or key > best_key:
+                best_key = key
+                best_s = _decode_bars(v, bars, slots, n)
+            elif key == best_key:
+                s = _decode_bars(v, bars, slots, n)
+                if s < best_s:
+                    best_s = s
+    return best_key, best_s
+
+
+def _decode_bars(v: int, bars, slots: int, n: int) -> tuple[int, ...]:
+    s = [v]
+    prev = -1
+    for bar in bars:
+        s.append(bar - prev - 1)
+        prev = bar
+    s.append(slots - prev - 1)
+    return tuple(s)
+
+
+def test_full_dp_matches_the_enumeration():
+    # integer alphas 1..n make q*i - p zero at size i = alpha, where adding
+    # a column of that size ties with not adding it, and alpha = 0 makes
+    # every column past the fill free: the DP must break both toward the
+    # fewest columns, as the enumeration's least s does
+    rng = random.Random(20148)
+    for n in range(2, 11):
+        scale = math.lcm(*range(1, n + 1))
+        wgt = [0] + [scale // i for i in range(1, n + 1)]
+        ratio = solve_p_nn(n).ratio
+        alphas = {F(0), F(n + 1), F(2 * n + 3, 2), ratio, ratio - F(1, 1000), ratio + F(1, 1000)}
+        alphas.update(F(k) for k in range(1, n + 1))
+        alphas.update(F(rng.randint(0, 3 * n), rng.randint(1, 40)) for _ in range(6))
+        for alpha in alphas:
+            p, q = alpha.numerator, alpha.denominator
+            assert solver._scan_full(n, p, q, wgt) == _scan_full(n, p, q, wgt), (n, alpha)
 
 
 # --- candidate generation ------------------------------------------------------
