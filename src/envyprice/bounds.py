@@ -20,7 +20,13 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .core import SearchSpaceTooLarge, UtilityMatrix, _check_n, price_ratio
+from .core import (
+    SearchSpaceTooLarge,
+    UtilityMatrix,
+    _check_n,
+    construction_ratio,
+    price_ratio,
+)
 
 __all__ = [
     "BoundReport",
@@ -47,16 +53,6 @@ def lower_construction(n: int) -> UtilityMatrix:
     k = math.isqrt(n)
     blocks = [[0] * (t * k) + [1] * k + [0] * (n - (t + 1) * k) for t in range(k)]
     return UtilityMatrix.from_weights(blocks + [[1] * n] * (n - k))
-
-
-def construction_ratio(n: int) -> Fraction:
-    """Closed-form price ratio of lower_construction(n): with a = k =
-    floor(sqrt n), (a + (n-ak)/n) / (a/k + (n-a)/n)."""
-    _check_n(n)
-    a = k = math.isqrt(n)
-    num = a + Fraction(n - a * k, n)
-    den = Fraction(a, k) + Fraction(n - a, n)
-    return num / den
 
 
 def g_of_d(n: int, d: Fraction) -> Fraction:

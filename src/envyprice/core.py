@@ -38,6 +38,7 @@ __all__ = [
     "DimensionMismatch",
     "SearchSpaceTooLarge",
     "RatioSearchFailed",
+    "construction_ratio",
     "dinkelbach",
     "parse_rational",
     "format_rational",
@@ -110,28 +111,40 @@ MAX_RATIO_STEPS = 100_000
 class RatioSearchFailed(RuntimeError):
     """The ratio search `dinkelbach`, which the solver and the oracle share,
     broke an invariant that guarantees it terminates: it ran past
-    `MAX_RATIO_STEPS` steps, or met a negative objective, which means its
-    start or a step's maximizer lies above the optimum."""
+    `MAX_RATIO_STEPS` steps, or met a negative objective, which means the
+    step's maximum is wrong, since the start `construction_ratio(n)` and
+    each maximizer's ratio are attainable."""
 
     def __init__(self, n: int, detail: str):
         self.n = n
         super().__init__(f"ratio search for n = {n} failed: {detail}")
 
 
+def construction_ratio(n: int) -> Fraction:
+    """Closed-form price ratio of lower_construction(n): with a = k =
+    floor(sqrt n), (a + (n-ak)/n) / (a/k + (n-a)/n)."""
+    _check_n(n)
+    a = k = math.isqrt(n)
+    num = a + Fraction(n - a * k, n)
+    den = Fraction(a, k) + Fraction(n - a, n)
+    return num / den
+
+
 def dinkelbach(
-    n: int, step: Callable[[Fraction], tuple[Fraction, Any]], start: Fraction
+    n: int, step: Callable[[Fraction], tuple[Fraction, Any]]
 ) -> tuple[Fraction, Any]:
     """Exact Dinkelbach iteration for the largest attainable ratio num/den.
 
     ``step(alpha)`` returns the maximum of num - alpha*den over a finite
     candidate set, with a maximizer whose ``ratio`` is its own num/den.
-    Starting at alpha = ``start``, alpha jumps to that ratio until the
-    maximum is zero; each jump strictly raises alpha among the attainable
-    ratios, so the search ends. ``start`` must not exceed the optimum: the
-    ratio of any candidate will do, and the closer it is, the fewer steps.
+    Starting at alpha = ``construction_ratio(n)``, alpha jumps to that
+    ratio until the maximum is zero; each jump strictly raises alpha among
+    the attainable ratios, so the search ends. The start is valid because
+    the square-root construction is a real instance: its ratio never
+    exceeds the optimum, and it is close to it for large n.
     Returns (alpha, maximizer) from the zero-objective step.
     """
-    alpha = start
+    alpha = construction_ratio(n)
     for _ in range(MAX_RATIO_STEPS):
         objective, best = step(alpha)
         if objective == 0:
@@ -455,19 +468,17 @@ def envy_free_optimal_welfare(x: UtilityMatrix) -> Optional[Fraction]:
     return Fraction(total, x.scale)
 
 
-def envy_free_optimal_exhaustive(
-    x: UtilityMatrix, cap: int = EXHAUSTIVE_CAP
-) -> Optional[tuple[Fraction, Allocation]]:
+def envy_free_optimal_exhaustive(x: UtilityMatrix) -> Optional[tuple[Fraction, Allocation]]:
     """Best envy-free allocation by full enumeration of all n^m allocations.
 
     Independent of the matching path; usable for any m. Ties break toward
     the lexicographically smallest owner vector. Raises SearchSpaceTooLarge
-    when n^m exceeds the cap.
+    when n^m exceeds EXHAUSTIVE_CAP.
     """
     n, m, grid = x.n, x.m, x.grid
     size = n**m
-    if size > cap:
-        raise SearchSpaceTooLarge(size, cap)
+    if size > EXHAUSTIVE_CAP:
+        raise SearchSpaceTooLarge(size, EXHAUSTIVE_CAP)
     best_welfare = -1
     best_alloc: Optional[Allocation] = None
     for owners in product(range(n), repeat=m):
@@ -511,7 +522,7 @@ class WelfareReport:
                 raise ValueError("ratio does not match the reported welfares")
 
 
-def price_ratio(x: UtilityMatrix, cap: int = EXHAUSTIVE_CAP) -> WelfareReport:
+def price_ratio(x: UtilityMatrix) -> WelfareReport:
     """Per-instance price of envy-freeness u*(x) / u*_f(x).
 
     Square instances go through the matching characterization; all others go
@@ -526,7 +537,7 @@ def price_ratio(x: UtilityMatrix, cap: int = EXHAUSTIVE_CAP) -> WelfareReport:
     if x.m == x.n:
         fair = envy_free_optimal_welfare(x)
     else:
-        found = envy_free_optimal_exhaustive(x, cap)
+        found = envy_free_optimal_exhaustive(x)
         fair = None if found is None else found[0]
     if fair is None:
         return WelfareReport(opt, None, None)

@@ -154,26 +154,15 @@ def oracle_alpha(n: int, alpha: Fraction) -> Fraction:
     return _oracle_dp(n, _check_alpha(alpha))[0]
 
 
-def _start_config(n: int) -> VertexConfig:
-    """The square-root construction as a config: k = isqrt(n) agents of
-    support k hitting all k items, then n - k agents of full support, the
-    first of them holding the n - k^2 items left."""
-    k = math.isqrt(n)
-    full = [(n, n - k * k)] + [(n, 0)] * (n - k - 1) if n > k else []
-    return VertexConfig(((k, k),) * k + tuple(full))
-
-
 def oracle_p_nn(n: int) -> tuple[Fraction, VertexConfig]:
     """Exact worst-case ratio over configs, with a maximizing config.
 
     Exact Dinkelbach iteration (`core.dinkelbach`) over `_oracle_dp`,
-    started at the ratio of the square-root construction
-    (`_start_config`), which is attainable and so at most the optimum.
+    which starts at the square-root construction's ratio
+    (`core.construction_ratio`), attainable and so at most the optimum.
     """
     _check_n(n)
-    return dinkelbach(
-        n, lambda alpha: _oracle_dp(n, alpha), _start_config(n).ratio
-    )
+    return dinkelbach(n, lambda alpha: _oracle_dp(n, alpha))
 
 
 def realize_config(cfg: VertexConfig, n: int) -> UtilityMatrix:

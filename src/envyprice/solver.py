@@ -27,10 +27,10 @@ whole family with ties broken toward the least s would (see
 `_scan_restricted`).
 
 The ratio itself is found by exact Dinkelbach iteration (`core.dinkelbach`),
-started at the ratio of the paper's square-root construction, which is
-attainable and close to p for large n. It finishes with a zero-objective
-solve at p and so returns the lexicographically least witness attaining it,
-whatever the start.
+which starts at the ratio of the paper's square-root construction
+(`core.construction_ratio`), attainable and close to p for large n. It
+finishes with a zero-objective solve at p and so returns the
+lexicographically least witness attaining it.
 
 All arithmetic is exact. Internally a candidate is scored with integers:
 with M = lcm(1..n) and alpha = p/q, the objective sign of a candidate is the
@@ -98,11 +98,10 @@ class Search(Enum):
 
 
 class GuardViolation(ValueError):
-    def __init__(self, n: int, limit: int = FULL_ENUMERATION_LIMIT):
+    def __init__(self, n: int):
         self.n = n
-        self.limit = limit
         super().__init__(
-            f"full enumeration is guarded to n <= {limit}, got n = {n}"
+            f"full enumeration is guarded to n <= {FULL_ENUMERATION_LIMIT}, got n = {n}"
         )
 
 
@@ -331,31 +330,18 @@ def solve_alpha(
     return Fraction(best_key, q * m), witness
 
 
-def _start_ratio(n: int) -> Fraction:
-    """Ratio of the square-root histogram: k = isqrt(n) columns of support
-    k and n - k full ones. It is attainable, so at most p(n), and it is
-    the closed-form lower construction's ratio, most of p(n) for large n."""
-    k = math.isqrt(n)
-    s = [0] * n
-    s[k - 1] += k
-    s[n - 1] += n - k
-    return _witness_ratio(s, _greedy_fill(s, n))
-
-
 def solve_p_nn(n: int, options: Optional[SolveOptions] = None) -> StructuredWitness:
     """Exact p(n) with a maximizing witness.
 
     Exact Dinkelbach iteration (`core.dinkelbach`) over `solve_alpha`,
-    started at the square-root histogram's ratio (`_start_ratio`): at most
-    3 steps for n <= 300. The last step runs at alpha = p(n) from any
-    start, and its witness is the lexicographically least one attaining
-    p(n).
+    which starts at the square-root construction's ratio
+    (`core.construction_ratio`): at most 3 steps for n <= 300. The last
+    step runs at alpha = p(n), and its witness is the lexicographically
+    least one attaining p(n).
     """
     _check_n(n)
     opts = options or SolveOptions()
-    return dinkelbach(
-        n, lambda alpha: solve_alpha(n, alpha, opts), _start_ratio(n)
-    )[1]
+    return dinkelbach(n, lambda alpha: solve_alpha(n, alpha, opts))[1]
 
 
 def sparse_witness_exists(n: int, p: Fraction) -> bool:

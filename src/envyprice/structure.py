@@ -36,7 +36,6 @@ from .core import (
     envy_free_optimal_exhaustive,
     envy_free_optimal_welfare,
     optimal_welfare,
-    EXHAUSTIVE_CAP,
     _is_int,
 )
 
@@ -151,10 +150,9 @@ def classify_agents(x: UtilityMatrix, tau: Sequence[int]) -> tuple[AgentClass, .
     )
 
 
-def _replace_column(x: UtilityMatrix, j: int, column: Sequence[Fraction]) -> UtilityMatrix:
-    cols = list(x.columns)
-    cols[j] = tuple(column)
-    return UtilityMatrix.from_columns(cols)
+def _replace_column(x: UtilityMatrix, j: int, weights: Sequence[int]) -> UtilityMatrix:
+    """x with column j replaced by integer weights, normalized by their total."""
+    return UtilityMatrix.from_weights(x.grid[:j] + (tuple(weights),) + x.grid[j + 1 :])
 
 
 def smooth_small_agent(x: UtilityMatrix, tau: Sequence[int], j: int) -> UtilityMatrix:
@@ -169,8 +167,7 @@ def smooth_small_agent(x: UtilityMatrix, tau: Sequence[int], j: int) -> UtilityM
     labels = classify_agents(x, tau)
     if labels[j] is not AgentClass.SMALL:
         raise NotSmall(j + 1)
-    uniform = Fraction(1, x.n)
-    return _replace_column(x, j, [uniform] * x.n)
+    return _replace_column(x, j, [1] * x.n)
 
 
 def level_big_agent(x: UtilityMatrix, tau: Sequence[int], j: int) -> UtilityMatrix:
@@ -187,12 +184,13 @@ def level_big_agent(x: UtilityMatrix, tau: Sequence[int], j: int) -> UtilityMatr
     if labels[j] is not AgentClass.BIG:
         raise NotBig(j + 1)
     block = [i for i in range(x.m) if tau[i] == j]
-    w = sum((x.columns[j][i] for i in block), Fraction(0))
-    mean = w / len(block)
-    column = list(x.columns[j])
+    # on the scale k*x.scale, entries off the block keep their value and
+    # each block entry becomes w/k
+    w = sum(x.grid[j][i] for i in block)
+    weights = [v * len(block) for v in x.grid[j]]
     for i in block:
-        column[i] = mean
-    return _replace_column(x, j, column)
+        weights[i] = w
+    return _replace_column(x, j, weights)
 
 
 def extremize_offdiagonal(x: UtilityMatrix, tau: Sequence[int], j: int) -> UtilityMatrix:
@@ -219,10 +217,10 @@ def extremize_offdiagonal(x: UtilityMatrix, tau: Sequence[int], j: int) -> Utili
         raise FullSupport(j + 1)
     if j not in block:
         raise NotLeveled(j + 1, "own item is outside the assigned block; relabel first")
-    values = {x.columns[j][i] for i in block}
+    values = {x.grid[j][i] for i in block}
     if len(values) > 1:
         raise NotLeveled(j + 1, "assigned entries differ; level the block first")
-    v = values.pop()
+    v = Fraction(values.pop(), x.scale)
 
     u_star, _ = optimal_welfare(x)
     fair = envy_free_optimal_welfare(x)
@@ -236,13 +234,9 @@ def extremize_offdiagonal(x: UtilityMatrix, tau: Sequence[int], j: int) -> Utili
     f_support = (a + 1) / (b + Fraction(1, k))
     f_uniform = (a + Fraction(k, n)) / (b + Fraction(1, n))
 
-    column = [Fraction(0)] * n
     if f_support >= f_uniform:
-        for i in block:
-            column[i] = Fraction(1, k)
-    else:
-        column = [Fraction(1, n)] * n
-    return _replace_column(x, j, column)
+        return _replace_column(x, j, [int(i in block) for i in range(n)])
+    return _replace_column(x, j, [1] * n)
 
 
 def canonicalize(x: UtilityMatrix) -> UtilityMatrix:
@@ -360,7 +354,7 @@ def build_witness_matrix(s: Sequence[int], r: Sequence[int], n: int) -> UtilityM
     return CanonicalInstance(n, tuple(k), tuple(supports)).to_matrix()
 
 
-def reduce_to_square(x: UtilityMatrix, cap: int = EXHAUSTIVE_CAP) -> UtilityMatrix:
+def reduce_to_square(x: UtilityMatrix) -> UtilityMatrix:
     """Turn an n-agent, m-item instance (m ≥ n) into an m-agent, m-item one.
 
     S is the set of agents holding exactly one item in the lexicographically
@@ -372,7 +366,7 @@ def reduce_to_square(x: UtilityMatrix, cap: int = EXHAUSTIVE_CAP) -> UtilityMatr
     """
     if x.m < x.n:
         raise DimensionMismatch(x.m, x.n, "at least as many items as agents")
-    found = envy_free_optimal_exhaustive(x, cap)
+    found = envy_free_optimal_exhaustive(x)
     if found is None:
         raise NoEnvyFreeAllocation()
     _, owners = found

@@ -4,6 +4,8 @@ from fractions import Fraction
 
 import pytest
 
+import envyprice
+import envyprice.core
 from envyprice.bounds import (
     BoundReport,
     bound_report,
@@ -37,6 +39,8 @@ def test_construction_ratio_reference_values():
     assert construction_ratio(4) == F(4, 3)
     assert construction_ratio(5) == F(11, 8)
     assert construction_ratio(9) == F(9, 5)
+    # one function, kept in core next to the ratio search that starts at it
+    assert construction_ratio is envyprice.core.construction_ratio is envyprice.construction_ratio
 
 
 def test_construction_shape_n9():

@@ -233,9 +233,13 @@ def test_matching_requires_square():
 
 
 def test_exhaustive_cap():
-    x = UtilityMatrix.from_strings([["1/2", "1/2", "0"], ["1/3", "1/3", "1/3"]])
-    with pytest.raises(SearchSpaceTooLarge):
-        envy_free_optimal_exhaustive(x, cap=7)
+    # 2^24 allocations exceed the cap, so both calls raise before enumerating
+    x = UtilityMatrix.from_weights([[1] * 24, [1] * 24])
+    message = "SearchSpaceTooLarge: 16777216 allocations exceed cap 10000000"
+    with pytest.raises(SearchSpaceTooLarge, match=message):
+        envy_free_optimal_exhaustive(x)
+    with pytest.raises(SearchSpaceTooLarge, match=message):
+        price_ratio(x)
 
 
 def test_no_envy_free_allocation():

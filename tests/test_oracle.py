@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 
 import envyprice.oracle
-from envyprice.core import dinkelbach, envy_free_matching, price_ratio
+from envyprice.core import envy_free_matching, price_ratio
 from envyprice.oracle import (
     LayoutInfeasible,
     RejectionCapExceeded,
@@ -160,6 +160,14 @@ def test_oracle_imports_only_core():
     assert relative == {"core"}
 
 
+def test_no_guard_is_an_assert():
+    # `python -O` strips assert statements, so a guard must raise instead
+    for path in sorted(Path(envyprice.oracle.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        lines = [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Assert)]
+        assert lines == [], f"{path.name}: assert at lines {lines}"
+
+
 def test_oracle_input_validation():
     with pytest.raises(ValueError):
         oracle_p_nn(0)
@@ -184,11 +192,11 @@ def test_floats_and_non_int_n_are_rejected(call):
 
 
 def test_warm_start_matches_a_start_at_one():
-    # the search started at alpha = 1 is the oracle as it ran before the
-    # warm start; the last step runs at the optimum either way
+    # from any start the last step runs at the optimum, so the result is
+    # what a zero-objective step there returns
     for n in range(1, 151):
-        cold = dinkelbach(n, lambda alpha: envyprice.oracle._oracle_dp(n, alpha), F(1))
-        assert oracle_p_nn(n) == cold, n
+        value, config = oracle_p_nn(n)
+        assert envyprice.oracle._oracle_dp(n, value) == (0, config), n
 
 
 # --- realization ---------------------------------------------------------------

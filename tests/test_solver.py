@@ -8,8 +8,7 @@ from typing import Optional, Sequence
 import pytest
 
 from envyprice import core, oracle, solver
-from envyprice.bounds import construction_ratio
-from envyprice.core import RatioSearchFailed
+from envyprice.core import RatioSearchFailed, construction_ratio
 from envyprice.solver import (
     FULL_ENUMERATION_LIMIT,
     GuardViolation,
@@ -351,38 +350,37 @@ def test_int_alpha_is_accepted():
 
 # --- the warm start -----------------------------------------------------------
 
-def test_start_ratio_is_the_construction_ratio():
-    for n in range(1, 301):
-        assert solver._start_ratio(n) == construction_ratio(n), n
-        assert oracle._start_config(n).ratio == construction_ratio(n), n
-
-
 def test_warm_start_takes_at_most_three_steps(monkeypatch):
-    inner = solver.solve_alpha
-    calls = Counter()
+    # both searches start at the square-root construction's ratio
+    first, calls = {}, Counter()
 
-    def counting(n, alpha, options=None):
-        calls[n] += 1
-        return inner(n, alpha, options)
+    def counting(inner, kind):
+        def step(n, alpha, *args):
+            first.setdefault((kind, n), alpha)
+            calls[kind, n] += 1
+            return inner(n, alpha, *args)
+        return step
 
-    monkeypatch.setattr(solver, "solve_alpha", counting)
+    monkeypatch.setattr(solver, "solve_alpha", counting(solver.solve_alpha, "solver"))
+    monkeypatch.setattr(oracle, "_oracle_dp", counting(oracle._oracle_dp, "oracle"))
     for n in range(1, 301):
         solve_p_nn(n)
-    assert sorted(calls) == list(range(1, 301))
-    assert {n: c for n, c in calls.items() if c > 3} == {}
+    for n in range(1, 151):
+        oracle.oracle_p_nn(n)
+    assert first == {
+        (kind, n): construction_ratio(n)
+        for kind, top in (("solver", 300), ("oracle", 150))
+        for n in range(1, top + 1)
+    }
+    assert {key: c for key, c in calls.items() if c > 3} == {}
 
 
 def test_warm_start_returns_the_witness_of_a_start_at_one():
+    # from any start the last step runs at p(n), so the result is what a
+    # zero-objective solve at the optimum returns
     for n in range(1, 61):
-        ratio, cold = core.dinkelbach(n, lambda alpha: solve_alpha(n, alpha), F(1))
-        assert solve_p_nn(n) == cold and cold.ratio == ratio, n
-
-
-def test_dinkelbach_started_above_the_optimum_fails():
-    for n in (3, 7, 20):
-        above = solve_p_nn(n).ratio + F(1, 1000)
-        with pytest.raises(RatioSearchFailed, match="below zero"):
-            core.dinkelbach(n, lambda alpha: solve_alpha(n, alpha), above)
+        witness = solve_p_nn(n)
+        assert solve_alpha(n, witness.ratio) == (0, witness), n
 
 
 def test_ratio_search_failures_are_typed(monkeypatch):
