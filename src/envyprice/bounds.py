@@ -24,6 +24,8 @@ from .core import (
     SearchSpaceTooLarge,
     UtilityMatrix,
     _check_n,
+    _check_rational,
+    _is_int,
     construction_ratio,
     price_ratio,
 )
@@ -58,9 +60,7 @@ def lower_construction(n: int) -> UtilityMatrix:
 def g_of_d(n: int, d: Fraction) -> Fraction:
     """The ceiling curve n(d+1)/(d^2+n); equals 1 at d = 0 and d = n."""
     _check_n(n)
-    d = Fraction(d)
-    if d < 0:
-        raise ValueError("d must be nonnegative")
+    d = _check_rational(d, "d")
     return n * (d + 1) / (d * d + n)
 
 
@@ -78,10 +78,7 @@ def check_upper_bound(n: int, p: Fraction) -> bool:
     positive, so squaring is an equivalence.
     """
     _check_n(n)
-    p = Fraction(p)
-    if p < 0:
-        raise ValueError("p must be nonnegative")
-    slack = p - 1 - Fraction(1, n)
+    slack = _check_rational(p, "p") - 1 - Fraction(1, n)
     if slack <= 0:
         return True
     return (2 * slack) ** 2 <= n
@@ -90,9 +87,7 @@ def check_upper_bound(n: int, p: Fraction) -> bool:
 def check_lower_bound(n: int, p: Fraction) -> bool:
     """Exactly decide p >= sqrt(n)/2 - 1/2, i.e. (2p + 1)^2 >= n."""
     _check_n(n)
-    p = Fraction(p)
-    if p < 0:
-        raise ValueError("p must be nonnegative")
+    p = _check_rational(p, "p")
     return (2 * p + 1) ** 2 >= n
 
 
@@ -122,7 +117,7 @@ def bound_report(n: int, p_exact: Optional[Fraction] = None) -> BoundReport:
         ("construction_below_ceiling", lower <= ceiling),
     ]
     if p_exact is not None:
-        p_exact = Fraction(p_exact)
+        p_exact = _check_rational(p_exact, "p_exact")
         checks += [
             ("construction_at_most_exact", lower <= p_exact),
             ("exact_at_most_ceiling", p_exact <= ceiling),
@@ -135,6 +130,8 @@ def bound_report(n: int, p_exact: Optional[Fraction] = None) -> BoundReport:
 def with_worthless_items(x: UtilityMatrix, extra: int) -> UtilityMatrix:
     """Append items valued zero by everyone; the price ratio is unchanged
     because such items alter no bundle's worth."""
+    if not _is_int(extra):
+        raise ValueError(f"extra must be an int, got {extra!r}")
     if extra < 0:
         raise ValueError("extra must be nonnegative")
     pad = (0,) * extra
@@ -173,6 +170,9 @@ def explore_witness(
     fixed arguments; the result is the best certified ratio, so it is a
     true lower bound but carries no optimality claim.
     """
+    for name, value in (("n", n), ("m", m), ("budget", budget)):
+        if not _is_int(value):
+            raise ValueError(f"{name} must be an int, got {value!r}")
     if n < 1 or m < n:
         raise ValueError("need m >= n >= 1")
     if n ** m > EXPLORE_ALLOCATION_CAP:

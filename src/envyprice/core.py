@@ -172,14 +172,14 @@ def _check_n(n: object) -> None:
         raise ValueError("n must be positive")
 
 
-def _check_alpha(alpha: object) -> Fraction:
-    """alpha as a Fraction; only nonnegative ints and Fractions are taken,
-    since a float would be read as its binary expansion."""
-    if not (_is_int(alpha) or isinstance(alpha, Fraction)):
-        raise ValueError(f"alpha must be an int or a Fraction, got {alpha!r}")
-    if alpha < 0:
-        raise ValueError("alpha must be nonnegative")
-    return Fraction(alpha)
+def _check_rational(value: object, name: str) -> Fraction:
+    """value as a Fraction; only nonnegative ints and Fractions are taken,
+    since a float would be read as its binary expansion and a bool as 0/1."""
+    if not (_is_int(value) or isinstance(value, Fraction)):
+        raise ValueError(f"{name} must be an int or a Fraction, got {value!r}")
+    if value < 0:
+        raise ValueError(f"{name} must be nonnegative")
+    return Fraction(value)
 
 
 def parse_rational(text: Union[str, int]) -> Fraction:

@@ -37,8 +37,8 @@ from typing import Iterator
 
 from .core import (
     UtilityMatrix,
-    _check_alpha,
     _check_n,
+    _check_rational,
     dinkelbach,
     envy_free_matching,
 )
@@ -103,9 +103,9 @@ class VertexConfig:
 
     @property
     def ratio(self) -> Fraction:
-        num = sum(Fraction(t, s) for s, t in self.pairs)
-        den = sum(Fraction(1, s) for s, _ in self.pairs)
-        return num / den
+        scale = math.lcm(*{s for s, _ in self.pairs})
+        num = sum(t * (scale // s) for s, t in self.pairs)
+        return Fraction(num, sum(scale // s for s, _ in self.pairs))
 
 
 def _oracle_dp(n: int, alpha: Fraction) -> tuple[Fraction, VertexConfig]:
@@ -151,7 +151,7 @@ def oracle_alpha(n: int, alpha: Fraction) -> Fraction:
     Fraction(0, 1)
     """
     _check_n(n)
-    return _oracle_dp(n, _check_alpha(alpha))[0]
+    return _oracle_dp(n, _check_rational(alpha, "alpha"))[0]
 
 
 def oracle_p_nn(n: int) -> tuple[Fraction, VertexConfig]:

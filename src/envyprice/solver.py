@@ -10,20 +10,22 @@ items inside those columns, and
 For a fixed s the best r is forced: fill the budget of n items into the
 smallest supported indices first (a unit at index i is worth 1/i). That
 collapses the search to s alone. Two outer searches are provided: the
-restricted family whose sub-n support is two consecutive sizes {k-1, k}
+restricted family whose sub-n support is two consecutive sizes {j, j+1}
 (plus full-support columns), which contains an optimum, and an exact DP
 over all compositions that does not assume that structure and
 cross-checks it (see `_scan_full`). The DP takes O(n^3) big-integer steps
 per call, so it is guarded to n <= FULL_ENUMERATION_LIMIT.
 
-The restricted family has O(n^2) vectors, in blocks (k, b): b columns of
-size k-1, a of size k for a range of a, full support on the rest. Within a
-block the objective is concave and piecewise linear in a with one break
-at a = R/k, R being the items the (k-1)-columns leave, so the least
-maximizing a follows from alpha in closed form: an end of the range or
-one of the two integers around the break. The scan scores that one a per
-block, O(n log n) vectors per solve, and returns exactly what scoring the
-whole family with ties broken toward the least s would (see
+The restricted family has O(n^2) vectors: the all-full vector and blocks
+(j, x) keyed by the least size j, with x >= 1 columns of size j, y of
+size j+1 for a range of y, full support on the rest. Within a block the
+objective is concave and piecewise linear in y with one break at
+y = R/(j+1), R being the items the j-columns leave, so the least
+maximizing y follows from alpha in closed form: an end of the range or
+one of the two integers around the break. The blocks are walked in
+increasing lexicographic s, so the walk order alone breaks ties toward
+the least s. The scan scores one y per block, O(n log n) vectors per
+solve, and returns exactly what scoring the whole family would (see
 `_scan_restricted`).
 
 The ratio itself is found by exact Dinkelbach iteration (`core.dinkelbach`),
@@ -47,8 +49,8 @@ from fractions import Fraction
 from typing import Iterator, Optional, Sequence
 
 from .core import (
-    _check_alpha,
     _check_n,
+    _check_rational,
     _is_int,
     dinkelbach,
     format_rational,
@@ -128,50 +130,46 @@ class StructuredWitness:
             )
 
 
-def _restricted_blocks(n: int) -> Iterator[tuple[int, int, int, int]]:
-    """Blocks (k, b, a_lo, a_hi) of the restricted family, for n >= 2.
+def _restricted_blocks(n: int) -> Iterator[tuple[int, int, int]]:
+    """Blocks (j, x, y_hi) of the restricted family, keyed by least size.
 
-    A block's vectors have b columns of support k-1, a columns of support k
-    for each a in a_lo..a_hi, and full support on the other n - a - b
-    columns. The columns below full support hold at most 2n items: past
-    that, dropping some of them keeps the filled numerator and shrinks the
-    denominator, so no optimum is lost. Histograms whose sub-n support fits several k are
-    emitted for the largest such k only, so the family is duplicate-free.
+    A block's vectors have x >= 1 columns of support j, y columns of
+    support j+1 for each y in 0..y_hi, and full support on the other
+    n - x - y columns; with the all-full vector these are the whole
+    family, each vector once. Size j+1 = n is full support itself, so
+    there y_hi = 0. The columns below full support hold at most 2n items:
+    past that, dropping some of them keeps the filled numerator and
+    shrinks the denominator, so no optimum is lost. Blocks come with j
+    falling and x rising, so the walk, with y rising inside a block, is in
+    increasing lexicographic s after the all-full vector, the least s.
     """
-    if n == 2:
-        for b in range(n + 1):
-            yield 2, b, 0, 0
-        return
     cap = 2 * n
-    for k in range(2, n):
-        a_lo = 0 if k == 2 else 1
-        for b in range(0, min(n, cap // (k - 1)) + 1):
-            a_hi = min(n - b, (cap - (k - 1) * b) // k)
-            if a_lo <= a_hi:
-                yield k, b, a_lo, a_hi
+    for j in range(n - 1, 0, -1):
+        for x in range(1, min(n, cap // j) + 1):
+            y_hi = min(n - x, (cap - j * x) // (j + 1)) if j + 1 < n else 0
+            yield j, x, y_hi
 
 
-def _block_pairs(n: int, k: int, b: int, a: int) -> tuple[tuple[int, int], ...]:
-    """Sparse form ((index, count), ...) of one restricted vector."""
-    c = n - a - b
-    pairs = []
-    if b:
-        pairs.append((k - 1, b))
-    if a:
-        pairs.append((k, a))
-    if c:
-        pairs.append((n, c))
-    return tuple(pairs)
+def _block_s(n: int, j: int, x: int, y: int) -> tuple[int, ...]:
+    """Dense s of x columns of size j, y of size j+1 and the rest full;
+    x = 0 with j = n-1 gives the all-full vector."""
+    s = [0] * n
+    s[j - 1] = x
+    s[j] += y
+    s[-1] += n - x - y
+    return tuple(s)
 
 
 def lemma4_candidates(n: int) -> Iterator[tuple[int, ...]]:
-    """The restricted s-vectors as full tuples, each summing to n."""
+    """The restricted s-vectors as full tuples, each summing to n, in
+    increasing order."""
     _check_n(n)
     if n < 2:
         raise ValueError("the restricted family needs n >= 2")
-    for k, b, a_lo, a_hi in _restricted_blocks(n):
-        for a in range(a_lo, a_hi + 1):
-            yield _pairs_to_s(_block_pairs(n, k, b, a), n)
+    yield _block_s(n, n - 1, 0, 0)
+    for j, x, y_hi in _restricted_blocks(n):
+        for y in range(y_hi + 1):
+            yield _block_s(n, j, x, y)
 
 
 def _greedy_fill(s: Sequence[int], n: int) -> tuple[int, ...]:
@@ -188,63 +186,53 @@ def _greedy_fill(s: Sequence[int], n: int) -> tuple[int, ...]:
     return tuple(r)
 
 
-def _pairs_to_s(pairs: Sequence[tuple[int, int]], n: int) -> tuple[int, ...]:
-    s = [0] * n
-    for i, c in pairs:
-        s[i - 1] = c
-    return tuple(s)
-
-
 def _scan_restricted(
     n: int, p: int, q: int, wgt: Sequence[int]
 ) -> tuple[int, tuple[int, ...]]:
-    """Best (key, s) over the restricted family, scoring one a per block.
+    """Best (key, s) over the restricted family, scoring one y per block.
 
-    Within a block (k, b) only a varies. The greedy fill puts
-    F = min(n, (k-1)*b) items into the (k-1)-columns, min(R, k*a) of the
+    Within a block (j, x) only y varies. With k = j+1, the greedy fill
+    puts F = min(n, j*x) items into the j-columns, min(R, k*y) of the
     R = n - F left into the k-columns and the rest into the full ones, so
     with W(i) = lcm(1..n)/i the integer key q*f - p*g is
 
-        const(k, b) + (W(k) - W(n)) * (q*min(R, k*a) - p*a),
+        const(j, x) + (W(k) - W(n)) * (q*min(R, k*y) - p*y),
 
-    and W(k) > W(n) because k < n. That is concave and piecewise linear in
-    a: slope q*k - p up to a = R/k, slope -p after it. With lo = floor(R/k)
-    its least integer maximizer over a_lo..a_hi is a_lo where nothing
-    rises (q*k <= p) or the range starts past the break (lo < a_lo), a_hi
-    where the range ends before it (lo >= a_hi), and otherwise lo or
-    lo + 1, whichever scores higher: the step from lo to lo + 1 gains
-    q*(R - k*lo) - p, so lo wins ties and always wins where k divides R. A
-    smaller a is a lexicographically smaller s within a block, so with
-    ties across blocks broken toward the least s the result is that of
-    scoring every vector of the family, at one key per block: 886 at
-    n = 100, against 14 948 vectors in the family.
+    and W(k) >= W(n). That is concave and piecewise linear in y: slope
+    q*k - p up to y = R/k, slope -p after it. With lo = floor(R/k) its
+    least integer maximizer over 0..y_hi is 0 where nothing rises
+    (q*k <= p), y_hi where the range ends before the break (lo >= y_hi),
+    and otherwise lo or lo + 1, whichever scores higher: the step from lo
+    to lo + 1 gains q*(R - k*lo) - p, so lo wins ties and always wins
+    where k divides R. The walk starts at the all-full vector and meets
+    the family in increasing lexicographic s, so keeping the first strict
+    maximum breaks ties toward the least s, as scoring every vector of
+    the family would, at one key per block: 896 at n = 100, against
+    14 948 vectors in the family.
     """
-    best_key = None
-    best_block = (0, 0, 0)
-    for k, b, a_lo, a_hi in _restricted_blocks(n):
-        filled = min(n, (k - 1) * b)
+    best_key = wgt[n] * (q - p) * n
+    best_block = (n - 1, 0, 0)
+    for j, x, y_hi in _restricted_blocks(n):
+        k = j + 1
+        filled = min(n, j * x)
         rest = n - filled
         lo = rest // k
-        if q * k <= p or lo < a_lo:
-            a = a_lo
-        elif lo >= a_hi:
-            a = a_hi
+        if q * k <= p:
+            y = 0
+        elif lo >= y_hi:
+            y = y_hi
         elif q * (rest - k * lo) <= p:
-            a = lo
+            y = lo
         else:
-            a = lo + 1
+            y = lo + 1
         key = (
-            wgt[k - 1] * (q * filled - p * b)
-            + wgt[n] * (q * rest - p * (n - b))
-            + (wgt[k] - wgt[n]) * (q * min(rest, k * a) - p * a)
+            wgt[j] * (q * filled - p * x)
+            + wgt[n] * (q * rest - p * (n - x))
+            + (wgt[k] - wgt[n]) * (q * min(rest, k * y) - p * y)
         )
-        if best_key is None or key > best_key:
-            best_key, best_block = key, (k, b, a)
-        elif key == best_key:
-            s = _pairs_to_s(_block_pairs(n, k, b, a), n)
-            if s < _pairs_to_s(_block_pairs(n, *best_block), n):
-                best_block = (k, b, a)
-    return best_key, _pairs_to_s(_block_pairs(n, *best_block), n)
+        if key > best_key:
+            best_key, best_block = key, (j, x, y)
+    return best_key, _block_s(n, *best_block)
 
 
 def _scan_full(
@@ -307,7 +295,7 @@ def solve_alpha(
     ratio, not alpha. A nonnegative maximum certifies p(n) >= alpha.
     """
     _check_n(n)
-    alpha = _check_alpha(alpha)
+    alpha = _check_rational(alpha, "alpha")
     opts = options or SolveOptions()
 
     if n == 1:

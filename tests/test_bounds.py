@@ -175,6 +175,23 @@ def test_n_must_be_a_positive_int(call, n):
         call(n)
 
 
+@pytest.mark.parametrize("value", [9 / 5, True], ids=["float", "bool"])
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda v: g_of_d(9, v),
+        lambda v: check_upper_bound(9, v),
+        lambda v: check_lower_bound(9, v),
+        lambda v: bound_report(9, v),
+    ],
+    ids=["g_of_d", "check_upper_bound", "check_lower_bound", "bound_report"],
+)
+def test_rationals_must_be_ints_or_fractions(call, value):
+    # a float would be checked as its binary expansion, a bool as 0 or 1
+    with pytest.raises(ValueError, match="must be an int"):
+        call(value)
+
+
 # --- reports -------------------------------------------------------------------------
 
 def test_bound_report_with_exact_value():
@@ -212,6 +229,9 @@ def test_worthless_items_preserve_ratio(w3):
     assert with_worthless_items(w3, 0) == w3
     with pytest.raises(ValueError):
         with_worthless_items(w3, -1)
+    for extra in (True, 1.0):
+        with pytest.raises(ValueError, match="extra must be an int"):
+            with_worthless_items(w3, extra)
 
 
 # --- the explorer --------------------------------------------------------------------
@@ -268,3 +288,14 @@ def test_explore_validation():
         explore_witness(2, 1, 5)
     with pytest.raises(ValueError):
         explore_witness(2, 3, 0)
+    # a bool would pass as 0 or 1, a float as a fractional budget or size
+    for args, name in [
+        ((2.0, 3, 10), "n"),
+        ((True, 2, 5), "n"),
+        ((2, 3.0, 10), "m"),
+        ((2, True, 5), "m"),
+        ((2, 3, 2.5), "budget"),
+        ((2, 3, True), "budget"),
+    ]:
+        with pytest.raises(ValueError, match=f"{name} must be an int"):
+            explore_witness(*args)

@@ -126,11 +126,11 @@ def _scored_family(n):
 
 
 def test_alpha_matches_scoring_the_whole_family():
-    # the scan scores one a per (k, b) block; the reference scores all of
-    # them. Integer alphas 2..n-1 make the rising slope q*k - p zero
-    # at k = alpha, where a whole range of a ties.
+    # the scan scores one y per (j, x) block; the reference scores all of
+    # them. Integer alphas 2..n-1 make the rising slope q*(j+1) - p zero
+    # at j+1 = alpha, where a whole range of y ties.
     rng = random.Random(20141)
-    for n in range(3, 41):
+    for n in range(2, 41):
         scale, scored = _scored_family(n)
         alphas = {F(1), F(n + 1), F(3 * n + 1, 2), solve_p_nn(n).ratio}
         alphas.update(F(a) for a in range(2, n))
@@ -146,25 +146,22 @@ def test_alpha_matches_scoring_the_whole_family():
 def _four_point_scan(n, p, q, wgt):
     """Reference: the restricted scan as it scored each block before the
     closed-form pick, at the ends of the range and the integers around the
-    break R/k, clipped to the range, ties to the least s."""
-    best_key = None
-    best_s = None
-    for k, b, a_lo, a_hi in solver._restricted_blocks(n):
-        filled = min(n, (k - 1) * b)
+    break R/(j+1), clipped to the range, plus the all-full vector, ties to
+    the least s whatever the walk order."""
+    best_key = wgt[n] * (q - p) * n
+    best_s = (0,) * (n - 1) + (n,)
+    for j, x, y_hi in solver._restricted_blocks(n):
+        filled = min(n, j * x)
         rest = n - filled
-        gain = wgt[k] - wgt[n]
-        f0 = filled * wgt[k - 1] + rest * wgt[n]
-        g0 = b * wgt[k - 1] + (n - b) * wgt[n]
-        lo, hi = rest // k, -(-rest // k)
-        for a in {a_lo, a_hi, min(max(lo, a_lo), a_hi), min(max(hi, a_lo), a_hi)}:
-            key = q * (f0 + min(rest, k * a) * gain) - p * (g0 + a * gain)
-            if best_key is None or key > best_key:
-                best_key = key
-                best_s = solver._pairs_to_s(solver._block_pairs(n, k, b, a), n)
-            elif key == best_key:
-                s = solver._pairs_to_s(solver._block_pairs(n, k, b, a), n)
-                if s < best_s:
-                    best_s = s
+        gain = wgt[j + 1] - wgt[n]
+        f0 = filled * wgt[j] + rest * wgt[n]
+        g0 = x * wgt[j] + (n - x) * wgt[n]
+        lo = rest // (j + 1)
+        for y in {0, y_hi, min(lo, y_hi), min(lo + 1, y_hi)}:
+            key = q * (f0 + min(rest, (j + 1) * y) * gain) - p * (g0 + y * gain)
+            s = solver._block_s(n, j, x, y)
+            if key > best_key or (key == best_key and s < best_s):
+                best_key, best_s = key, s
     return best_key, best_s
 
 
@@ -292,6 +289,14 @@ def test_candidates_include_known_witnesses():
     assert (0, 1, 2) in set(lemma4_candidates(3))
     assert (0, 1, 1, 0, 3) in set(lemma4_candidates(5))
     assert (0, 2, 1, 0, 0, 0, 4) in set(lemma4_candidates(7))
+
+
+def test_candidates_come_in_increasing_order():
+    # the scan keeps the first strict maximum, so the walk order is its
+    # tie-break toward the least s
+    for n in range(2, 41):
+        seen = list(lemma4_candidates(n))
+        assert all(a < b for a, b in zip(seen, seen[1:])), n
 
 
 def test_candidates_need_two_agents():
