@@ -7,7 +7,7 @@ accepted anywhere.
 
 The module provides the instance type (:class:`UtilityMatrix`), welfare of an
 allocation, the welfare optimum, envy-freeness checks, the optimal envy-free
-welfare (via bipartite matching when m = n, via bounded exhaustive search
+welfare (via bipartite matching when m = n, via an exact branch and bound
 otherwise), and the per-instance price ratio u*(x) / u*_f(x).
 
 >>> x = UtilityMatrix.from_strings([["1/2", "1/2", "0"],
@@ -25,7 +25,8 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from itertools import chain, product
+from itertools import chain
+from operator import add, gt
 from typing import Any, Callable, Optional, Sequence, Union
 
 __all__ = [
@@ -469,35 +470,66 @@ def envy_free_optimal_welfare(x: UtilityMatrix) -> Optional[Fraction]:
 
 
 def envy_free_optimal_exhaustive(x: UtilityMatrix) -> Optional[tuple[Fraction, Allocation]]:
-    """Best envy-free allocation by full enumeration of all n^m allocations.
+    """Best envy-free allocation by an exact depth-first branch and bound.
 
-    Independent of the matching path; usable for any m. Ties break toward
-    the lexicographically smallest owner vector. Raises SearchSpaceTooLarge
-    when n^m exceeds EXHAUSTIVE_CAP.
+    Independent of the matching path; usable for any m. Items are handed
+    out in index order and agents tried in ascending order, so complete
+    allocations are reached in lexicographic order of their owner vectors,
+    and only a strict improvement replaces the best: ties break toward the
+    lexicographically smallest owner vector. A branch is cut when adding
+    every remaining item's maximum value cannot lift its welfare above the
+    best found, or when some agent already values the bundle just extended
+    above its own bundle plus all items still unassigned, an envy that later
+    items cannot remove. Raises SearchSpaceTooLarge when n^m exceeds
+    EXHAUSTIVE_CAP, whatever the pruning would leave.
     """
     n, m, grid = x.n, x.m, x.grid
     size = n**m
     if size > EXHAUSTIVE_CAP:
         raise SearchSpaceTooLarge(size, EXHAUSTIVE_CAP)
+    items = list(zip(*grid))  # items[i][j] = agent j's value for item i
+    # rest[i][j]: agent j's value for items i..; top[i]: their maxima summed
+    rest = [(0,) * n] * (m + 1)
+    top = [0] * (m + 1)
+    for i in range(m - 1, -1, -1):
+        rest[i] = tuple(map(add, rest[i + 1], items[i]))
+        top[i] = top[i + 1] + max(items[i])
+    held = [(0,) * n] * n  # held[g][j] = agent j's value for g's bundle
+    own = [0] * n  # own[j] = held[j][j]
+    owners = [-1] * m  # the path: owner of each item assigned so far
+    # prev[i]: held[owners[i]] before item i joined it; it is set before the
+    # welfare cut, so taking back an item that was cut there changes nothing
+    prev = [held[0]] * m
+    base = [0] * (m + 1)  # base[i]: welfare of items 0..i-1 on the path
     best_welfare = -1
     best_alloc: Optional[Allocation] = None
-    for owners in product(range(n), repeat=m):
-        bundles = [[0] * n for _ in range(n)]
-        for i, g in enumerate(owners):
-            for j in range(n):
-                bundles[j][g] += grid[j][i]
-        envy = False
-        for j in range(n):
-            own = bundles[j][j]
-            if any(bundles[j][g] > own for g in range(n)):
-                envy = True
-                break
-        if envy:
+    i = 0
+    while i >= 0:
+        g = owners[i]
+        if g >= 0:  # take item i back from its owner
+            held[g] = prev[i]
+            own[g] = prev[i][g]
+        g += 1
+        if g == n:
+            owners[i] = -1
+            i -= 1
             continue
-        welfare = sum(bundles[j][j] for j in range(n))
-        if welfare > best_welfare:
+        owners[i] = g
+        item = items[i]
+        welfare = base[i] + item[g]
+        prev[i] = before = held[g]
+        if welfare + top[i + 1] <= best_welfare:
+            continue
+        held[g] = after = tuple(map(add, before, item))
+        own[g] = after[g]
+        if any(map(gt, after, map(add, own, rest[i + 1]))):
+            continue
+        if i + 1 < m:
+            base[i + 1] = welfare
+            i += 1
+        elif not any(any(map(gt, row, own)) for row in held):
             best_welfare = welfare
-            best_alloc = owners
+            best_alloc = tuple(owners)
     if best_alloc is None:
         return None
     return Fraction(best_welfare, x.scale), best_alloc
@@ -526,8 +558,9 @@ def price_ratio(x: UtilityMatrix) -> WelfareReport:
     """Per-instance price of envy-freeness u*(x) / u*_f(x).
 
     Square instances go through the matching characterization; all others go
-    through bounded exhaustive search. The ratio is absent exactly when the
-    instance admits no envy-free allocation.
+    through the exact branch and bound of `envy_free_optimal_exhaustive`,
+    which raises SearchSpaceTooLarge when n^m exceeds EXHAUSTIVE_CAP. The
+    ratio is absent exactly when the instance admits no envy-free allocation.
 
     >>> u = UtilityMatrix.from_strings([["1/2", "1/2"], ["1/2", "1/2"]])
     >>> price_ratio(u)

@@ -39,6 +39,7 @@ from .core import (
     UtilityMatrix,
     _check_n,
     _check_rational,
+    _is_int,
     dinkelbach,
     envy_free_matching,
 )
@@ -247,6 +248,11 @@ def fuzz_instances(
     emitted matrices do not depend on the budget.
     """
     _check_n(n)
+    for name, value in (("count", count), ("attempts", attempts)):
+        if not _is_int(value):
+            raise ValueError(f"{name} must be an int, got {value!r}")
+    if attempts < 1:
+        raise ValueError("attempts must be at least 1")
     budget = attempts * count
     used = 0
     for idx in range(count):

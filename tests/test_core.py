@@ -2,6 +2,7 @@ import doctest
 import json
 import random
 from fractions import Fraction
+from itertools import product
 
 import pytest
 from hypothesis import given, settings
@@ -275,6 +276,12 @@ def test_long_augmenting_paths_do_not_recurse():
     assert report.ratio == 1
 
 
+def test_exhaustive_search_does_not_recurse():
+    # one agent passes the n^m cap at any m, so the search path is m deep
+    x = UtilityMatrix.from_weights([[1] * 5000])
+    assert envy_free_optimal_exhaustive(x) == (1, (0,) * 5000)
+
+
 def test_module_doctests_pass():
     for module in (envyprice.core, envyprice.oracle):
         result = doctest.testmod(module)
@@ -316,6 +323,59 @@ def test_all_envy_free_bijections_share_welfare():
             x = UtilityMatrix.from_columns(cols)
             assert welfares == {envy_free_optimal_welfare(x)}
     assert checked > 50
+
+
+def _enumerated_ef_optimum(x):
+    """The envy-free optimum by scoring all n^m allocations from scratch,
+    first strict maximum in lexicographic order: the reference for the
+    branch and bound."""
+    n, m, grid = x.n, x.m, x.grid
+    best_welfare = -1
+    best_alloc = None
+    for owners in product(range(n), repeat=m):
+        bundles = [[0] * n for _ in range(n)]
+        for i, g in enumerate(owners):
+            for j in range(n):
+                bundles[j][g] += grid[j][i]
+        envy = False
+        for j in range(n):
+            own = bundles[j][j]
+            if any(bundles[j][g] > own for g in range(n)):
+                envy = True
+                break
+        if envy:
+            continue
+        welfare = sum(bundles[j][j] for j in range(n))
+        if welfare > best_welfare:
+            best_welfare = welfare
+            best_alloc = owners
+    if best_alloc is None:
+        return None
+    return Fraction(best_welfare, x.scale), best_alloc
+
+
+def test_branch_and_bound_matches_enumeration():
+    # Weights in 0..1 make many optima tie, so the lexicographic tie-break
+    # is exercised; weights in 0..10 often leave no envy-free allocation.
+    rng = random.Random("core:branch-and-bound:0")
+    shapes = [(n, m) for n in range(1, 5) for m in range(1, 9) if n**m <= 20_000]
+    found = missing = 0
+    for n, m in shapes:
+        for top in (1, 3, 10):
+            for _ in range(3):
+                cols = []
+                while len(cols) < n:
+                    weights = [rng.randint(0, top) for _ in range(m)]
+                    if any(weights):
+                        cols.append(weights)
+                x = UtilityMatrix.from_weights(cols)
+                expected = _enumerated_ef_optimum(x)
+                assert envy_free_optimal_exhaustive(x) == expected, cols
+                if expected is None:
+                    missing += 1
+                else:
+                    found += 1
+    assert found > 100 and missing > 50
 
 
 def test_exhaustive_matches_oracle_off_square():

@@ -303,3 +303,21 @@ def test_fuzz_budget_does_not_change_stream():
 def test_fuzz_input_validation():
     with pytest.raises(ValueError):
         list(fuzz_instances(0, 1, seed=0))
+
+
+@pytest.mark.parametrize(
+    "count, attempts, message",
+    [
+        (2.0, 100, "count must be an int"),
+        (True, 100, "count must be an int"),
+        ("3", 100, "count must be an int"),
+        (3, 0.5, "attempts must be an int"),
+        (3, 2.0, "attempts must be an int"),
+        (3, True, "attempts must be an int"),
+        (3, 0, "attempts must be at least 1"),
+        (3, -2, "attempts must be at least 1"),
+    ],
+)
+def test_fuzz_rejects_bad_count_and_attempts(count, attempts, message):
+    with pytest.raises(ValueError, match=message):
+        list(fuzz_instances(3, count, seed=0, attempts=attempts))
