@@ -24,8 +24,12 @@ y = R/(j+1), R being the items the j-columns leave, so the least
 maximizing y follows from alpha in closed form: an end of the range or
 one of the two integers around the break. The blocks are walked in
 increasing lexicographic s, so the walk order alone breaks ties toward
-the least s. The scan scores one y per block, O(n log n) vectors per
-solve, and returns exactly what scoring the whole family would (see
+the least s. The scan scores one y per block and stops each size j at
+x = floor(n/j), the sum of floor(n/j) over j < n blocks per step (481 at
+n = 100): past ceil(n/j) the j-columns hold all n items, so a further
+j-column only adds to the denominator, and the block at ceil(n/j) is
+beaten by one with a column fewer or a column one size smaller. It
+returns exactly what scoring the whole family would (see
 `_scan_restricted`).
 
 The ratio itself is found by exact Dinkelbach iteration (`core.dinkelbach`),
@@ -191,48 +195,63 @@ def _scan_restricted(
 ) -> tuple[int, tuple[int, ...]]:
     """Best (key, s) over the restricted family, scoring one y per block.
 
-    Within a block (j, x) only y varies. With k = j+1, the greedy fill
-    puts F = min(n, j*x) items into the j-columns, min(R, k*y) of the
-    R = n - F left into the k-columns and the rest into the full ones, so
-    with W(i) = lcm(1..n)/i the integer key q*f - p*g is
+    Within a block (j, x) only y varies. With k = j+1 and x <= n/j (see
+    below), the greedy fill puts F = j*x items into the j-columns,
+    min(R, k*y) of the R = n - F left into the k-columns and the rest into
+    the full ones, so with W(i) = lcm(1..n)/i the integer key q*f - p*g
+    is the all-full vector's key W(n)*(q - p)*n plus
 
-        const(j, x) + (W(k) - W(n)) * (q*min(R, k*y) - p*y),
+        (W(j) - W(n)) * (q*F - p*x) + (W(k) - W(n)) * (q*min(R, k*y) - p*y),
 
-    and W(k) >= W(n). That is concave and piecewise linear in y: slope
-    q*k - p up to y = R/k, slope -p after it. With lo = floor(R/k) its
-    least integer maximizer over 0..y_hi is 0 where nothing rises
-    (q*k <= p), y_hi where the range ends before the break (lo >= y_hi),
-    and otherwise lo or lo + 1, whichever scores higher: the step from lo
-    to lo + 1 gains q*(R - k*lo) - p, so lo wins ties and always wins
-    where k divides R. The walk starts at the all-full vector and meets
-    the family in increasing lexicographic s, so keeping the first strict
-    maximum breaks ties toward the least s, as scoring every vector of
-    the family would, at one key per block: 896 at n = 100, against
-    14 948 vectors in the family.
+    and W(j) > W(k) >= W(n). That is concave and piecewise linear in y:
+    slope q*k - p up to y = R/k, slope -p after it. With lo = floor(R/k)
+    its least integer maximizer is 0 where nothing rises (q*k <= p) and
+    otherwise lo or lo + 1, whichever scores higher: the step from lo to
+    lo + 1 gains q*(R - k*lo) - p, so lo wins ties and always wins where
+    k divides R. Both lie in the block's range 0..y_hi (see
+    `_restricted_blocks`): where the step gains, R > k*lo, so
+    k*(lo + 1) <= R + k <= 2n - F and lo + 1 <= n - x.
+
+    x stops at floor(n/j); no block past it is a strict maximum. From
+    c = ceil(n/j) on the j-columns hold all n items, so R = 0, y = 0 and
+    the key, const - p*(W(j) - W(n))*x, falls with x, or stays flat at
+    alpha = 0. Where j does not divide n, block (j, c) holds
+    e = n - j*(c-1) < j items in its last j-column. If q*e <= p, block
+    (j, c-1) with y = 0, walked before it, scores no less: the column is
+    full support instead. Otherwise block (j-1, 1) with y = c-1, walked
+    after it, scores (W(j-1) - W(j))*(q*(j-1) - p) > 0 more: one
+    j-column is one size smaller.
+
+    The walk starts at the all-full vector and meets the family in
+    increasing lexicographic s, so keeping the first strict maximum
+    breaks ties toward the least s, as scoring every vector of the family
+    would. It scores 481 blocks at n = 100, of the 896 blocks and 14 948
+    vectors in the family. Keys are kept relative to the all-full vector,
+    whose key is added back on return.
     """
-    best_key = wgt[n] * (q - p) * n
+    w_n = wgt[n]
+    best_key = 0
     best_block = (n - 1, 0, 0)
-    for j, x, y_hi in _restricted_blocks(n):
+    for j in range(n - 1, 0, -1):
         k = j + 1
-        filled = min(n, j * x)
-        rest = n - filled
-        lo = rest // k
-        if q * k <= p:
+        u = wgt[j] - w_n
+        d = wgt[k] - w_n
+        rises = k < n and q * k > p
+        for x in range(1, n // j + 1):
+            filled = j * x
+            key = u * (q * filled - p * x)
             y = 0
-        elif lo >= y_hi:
-            y = y_hi
-        elif q * (rest - k * lo) <= p:
-            y = lo
-        else:
-            y = lo + 1
-        key = (
-            wgt[j] * (q * filled - p * x)
-            + wgt[n] * (q * rest - p * (n - x))
-            + (wgt[k] - wgt[n]) * (q * min(rest, k * y) - p * y)
-        )
-        if key > best_key:
-            best_key, best_block = key, (j, x, y)
-    return best_key, _block_s(n, *best_block)
+            if rises:
+                rest = n - filled
+                y = rest // k
+                t = k * y
+                if q * (rest - t) > p:
+                    y += 1
+                    t = rest
+                key += d * (q * t - p * y)
+            if key > best_key:
+                best_key, best_block = key, (j, x, y)
+    return best_key + w_n * (q - p) * n, _block_s(n, *best_block)
 
 
 def _scan_full(

@@ -180,6 +180,15 @@ def test_bounds_sweep_csv():
     assert lines[3] == "3,1,3/2,8/7,true"
 
 
+def test_bounds_reports_the_exact_value_to_1000():
+    payload = json.loads(invoke("bounds", "--n", "101").output)
+    assert payload["p_exact"] == str(solve_p_nn(101).ratio)
+    assert payload["checks"] and all(payload["checks"].values())
+    result = invoke("bounds", "--n", "1001")
+    assert result.exit_code == 0
+    assert json.loads(result.output)["p_exact"] is None
+
+
 def test_bounds_needs_exactly_one_selector():
     assert invoke("bounds").exit_code == 2
     assert invoke("bounds", "--n", "3", "--to", "5").exit_code == 2

@@ -165,24 +165,38 @@ def _four_point_scan(n, p, q, wgt):
     return best_key, best_s
 
 
+def _assert_matches_the_four_point_scan(n, alphas):
+    scale = math.lcm(*range(1, n + 1))
+    wgt = [0] + [scale // i for i in range(1, n + 1)]
+    for alpha in alphas:
+        p, q = alpha.numerator, alpha.denominator
+        key, s = _four_point_scan(n, p, q, wgt)
+        want = (F(key, q * scale), s, solver._greedy_fill(s, n))
+        objective, w = solve_alpha(n, alpha)
+        assert (objective, w.s, w.r) == want, (n, alpha)
+
+
 def test_closed_form_pick_matches_the_four_point_scan():
     # alpha = 0 makes the falling slope -p flat; alpha = k makes the rising
     # slope q*k - p zero; alphas above n make every slope fall; p(n) +- 1/1000
     # straddle the optimum the last Dinkelbach step sits on
     rng = random.Random(20147)
     for n in range(2, 61):
-        scale = math.lcm(*range(1, n + 1))
-        wgt = [0] + [scale // i for i in range(1, n + 1)]
         ratio = solve_p_nn(n).ratio
         alphas = {F(0), F(n + 1), F(5 * n, 3), ratio - F(1, 1000), ratio + F(1, 1000)}
         alphas.update(F(k) for k in range(1, n + 1))
         alphas.update(F(rng.randint(0, 3 * n), rng.randint(1, 60)) for _ in range(4))
-        for alpha in alphas:
-            p, q = alpha.numerator, alpha.denominator
-            key, s = _four_point_scan(n, p, q, wgt)
-            want = (F(key, q * scale), s, solver._greedy_fill(s, n))
-            objective, w = solve_alpha(n, alpha)
-            assert (objective, w.s, w.r) == want, (n, alpha)
+        _assert_matches_the_four_point_scan(n, alphas)
+
+
+def test_pruned_walk_matches_the_four_point_scan_to_300():
+    # the scan stops each size j at x = floor(n/j); the reference walks
+    # every block. At alpha = 0 the blocks from x = ceil(n/j) on tie, so a
+    # walk that keeps later ties gives another s
+    for n in [*range(61, 151, 7), 200, 300]:
+        ratio = solve_p_nn(n).ratio
+        alphas = {F(0), F(1), F(n + 1), ratio, ratio - F(1, 1000), ratio + F(1, 1000)}
+        _assert_matches_the_four_point_scan(n, alphas)
 
 
 # Reference: the full search as it enumerated all C(2n-2, n-2) compositions
