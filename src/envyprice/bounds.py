@@ -66,9 +66,16 @@ def g_of_d(n: int, d: Fraction) -> Fraction:
 
 def upper_g_max(n: int) -> Fraction:
     """max of g_of_d(n, d) over integer d in 0..n, an upper bound on the
-    worst-case ratio."""
+    worst-case ratio.
+
+    Over real d >= 0 the derivative of g has the sign of n - 2d - d^2, so
+    g rises up to d* = sqrt(n+1) - 1 and falls after it. The integer
+    maximum is therefore at a = floor(d*) = isqrt(n+1) - 1 or at a + 1,
+    both in 0..n for n >= 1.
+    """
     _check_n(n)
-    return max(g_of_d(n, Fraction(d)) for d in range(n + 1))
+    a = math.isqrt(n + 1) - 1
+    return max(g_of_d(n, Fraction(a)), g_of_d(n, Fraction(a + 1)))
 
 
 def check_upper_bound(n: int, p: Fraction) -> bool:

@@ -223,16 +223,20 @@ class UtilityMatrix:
         scale = self.scale
         if not _is_int(scale) or scale < 1:
             raise ValueError(f"scale must be a positive integer, got {scale!r}")
+        if min(map(min, grid)) < 0 or set(map(sum, grid)) != {scale}:
+            # some column is bad: walk them in order to report the first
+            for j, col in enumerate(grid):
+                if min(col) < 0:
+                    i = next(i for i, v in enumerate(col) if v < 0)
+                    raise NegativeUtility(i + 1, j + 1, Fraction(col[i], scale))
+                total = sum(col)
+                if total != scale:
+                    raise ColumnNotNormalized(j + 1, Fraction(total, scale))
         common = scale  # the gcd of scale and every entry
-        for j, col in enumerate(grid):
-            if min(col) < 0:
-                i = next(i for i, v in enumerate(col) if v < 0)
-                raise NegativeUtility(i + 1, j + 1, Fraction(col[i], scale))
-            total = sum(col)
-            if total != scale:
-                raise ColumnNotNormalized(j + 1, Fraction(total, scale))
-            if common > 1:
-                common = math.gcd(common, *col)
+        for col in grid:
+            if common == 1:
+                break
+            common = math.gcd(common, *col)
         if common > 1:
             grid = tuple(tuple(v // common for v in col) for col in grid)
             scale //= common
@@ -278,12 +282,14 @@ class UtilityMatrix:
         cols = _int_columns(weights)
         totals = [sum(col) for col in cols]
         scale = math.lcm(*(t for t in totals if t > 0))
-        # Columns without a positive total pass unscaled; the constructor rejects them.
-        grid = tuple(
-            tuple(w * (scale // t) for w in col) if t > 0 else col
-            for col, t in zip(cols, totals)
-        )
-        return cls(grid, scale)
+        grid = []
+        for col, t in zip(cols, totals):
+            # Columns without a positive total pass unscaled; the constructor rejects them.
+            if t > 0:
+                factor = scale // t
+                col = tuple([w * factor for w in col])
+            grid.append(col)
+        return cls(tuple(grid), scale)
 
     @classmethod
     def from_strings(cls, columns: Sequence[Sequence[Union[str, int]]]) -> "UtilityMatrix":
@@ -301,9 +307,9 @@ def _int_columns(columns: Sequence[Sequence[int]]) -> tuple[tuple[int, ...], ...
     cols = tuple(map(tuple, columns))
     if not cols or not cols[0]:
         raise ValueError("utility matrix needs at least one agent and one item")
-    if any(len(col) != len(cols[0]) for col in cols):
+    if len(set(map(len, cols))) != 1:
         raise ValueError("all agent columns must have the same length")
-    if any(set(map(type, col)) != {int} for col in cols):
+    if set(map(type, chain.from_iterable(cols))) != {int}:
         raise ValueError("utility matrix entries must be integers")
     return cols
 
@@ -329,20 +335,10 @@ def optimal_welfare(x: UtilityMatrix) -> tuple[Fraction, Allocation]:
     Each item independently goes to an agent valuing it most; ties break
     toward the lowest agent index, so the witness is unique and deterministic.
     """
-    grid = x.grid
-    total = 0
-    owners = []
-    for i in range(x.m):
-        best_j = 0
-        best_v = grid[0][i]
-        for j in range(1, x.n):
-            v = grid[j][i]
-            if v > best_v:
-                best_v = v
-                best_j = j
-        total += best_v
-        owners.append(best_j)
-    return Fraction(total, x.scale), tuple(owners)
+    rows = list(zip(*x.grid))
+    best = list(map(max, rows))
+    # tuple.index finds the first agent attaining the maximum
+    return Fraction(sum(best), x.scale), tuple(map(tuple.index, rows, best))
 
 
 def is_envy_free(x: UtilityMatrix, allocation: Sequence[int]) -> bool:
@@ -365,7 +361,13 @@ def _compat_adjacency(x: UtilityMatrix) -> list[list[int]]:
     adj = []
     for col in x.grid:
         best = max(col)
-        adj.append([i for i, v in enumerate(col) if v == best])
+        ties = col.count(best)
+        if ties == 1:
+            adj.append([col.index(best)])
+        elif ties == len(col):
+            adj.append(list(range(ties)))
+        else:
+            adj.append([i for i, v in enumerate(col) if v == best])
     return adj
 
 
@@ -444,10 +446,19 @@ def envy_free_matching(x: UtilityMatrix) -> Optional[Allocation]:
     other bundle only if it beats every other single item). So the search is
     a perfect matching in the compatibility graph agent j ~ item i iff
     x[i][j] = max_i' x[i'][j]. Returns None when no perfect matching exists.
+
+    Before the matching search, Hall's condition on the set of all agents is
+    checked: fewer than n items compatible with anyone rules a matching out.
+    It holds trivially, and is skipped, when some agent is compatible with
+    every item, as in uniform columns.
     """
-    if x.m != x.n:
-        raise DimensionMismatch(x.m, x.n, "a square instance (m = n)")
-    match_l = _hopcroft_karp(_compat_adjacency(x), x.m)
+    n = x.n
+    if x.m != n:
+        raise DimensionMismatch(x.m, n, "a square instance (m = n)")
+    adj = _compat_adjacency(x)
+    if max(map(len, adj)) < n and len(set(chain.from_iterable(adj))) < n:
+        return None
+    match_l = _hopcroft_karp(adj, n)
     if any(v == -1 for v in match_l):
         return None
     owners = [-1] * x.m
@@ -465,8 +476,7 @@ def envy_free_optimal_welfare(x: UtilityMatrix) -> Optional[Fraction]:
     """
     if envy_free_matching(x) is None:
         return None
-    total = sum(max(col) for col in x.grid)
-    return Fraction(total, x.scale)
+    return Fraction(sum(map(max, x.grid)), x.scale)
 
 
 def envy_free_optimal_exhaustive(x: UtilityMatrix) -> Optional[tuple[Fraction, Allocation]]:

@@ -256,14 +256,21 @@ def fuzz_instances(
     budget = attempts * count
     used = 0
     for idx in range(count):
-        rng = random.Random(f"fuzz:{seed}:{idx}")
+        getrandbits = random.Random(f"fuzz:{seed}:{idx}").getrandbits
         while True:
             if used >= budget:
                 raise RejectionCapExceeded(idx, budget)
             used += 1
             cols = []
             for _ in range(n):
-                weights = [rng.randrange(17) for _ in range(n)]
+                weights = []
+                for _ in range(n):
+                    # rng.randrange(17), inlined: the same rejection loop
+                    # over 5 random bits, so the same stream
+                    v = getrandbits(5)
+                    while v >= 17:
+                        v = getrandbits(5)
+                    weights.append(v)
                 if not any(weights):
                     break
                 cols.append(weights)

@@ -50,6 +50,7 @@ import math
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
+from operator import mul
 from typing import Iterator, Optional, Sequence
 
 from .core import (
@@ -299,9 +300,13 @@ def _scan_full(
 
 
 def _witness_ratio(s: Sequence[int], r: Sequence[int]) -> Fraction:
-    num = sum(Fraction(ri, i + 1) for i, ri in enumerate(r) if ri)
-    den = sum(Fraction(si, i + 1) for i, si in enumerate(s) if si)
-    return num / den
+    """(sum r_i/i) / (sum s_i/i) over the lcm of the sizes i with s_i > 0,
+    which also holds every i with r_i > 0, since r_i <= i*s_i."""
+    sizes = [i for i, si in enumerate(s, 1) if si]
+    scale = math.lcm(*sizes)
+    num = sum(r[i - 1] * (scale // i) for i in sizes)
+    den = sum(s[i - 1] * (scale // i) for i in sizes)
+    return Fraction(num, den)
 
 
 def solve_alpha(
@@ -333,7 +338,10 @@ def solve_alpha(
         best_key, best_s = _scan_restricted(n, p, q, wgt)
 
     r = _greedy_fill(best_s, n)
-    witness = StructuredWitness(best_s, r, _witness_ratio(best_s, r))
+    # the ratio on the scan's weights W(i) = m/i; StructuredWitness checks
+    # it against `_witness_ratio`, computed on another scale
+    ratio = Fraction(sum(map(mul, r, wgt[1:])), sum(map(mul, best_s, wgt[1:])))
+    witness = StructuredWitness(best_s, r, ratio)
     return Fraction(best_key, q * m), witness
 
 

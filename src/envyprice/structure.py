@@ -26,6 +26,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from operator import gt, mul
 from typing import Optional, Sequence
 
 from .core import (
@@ -306,16 +307,20 @@ def _check_witness_vectors(s: Sequence[int], r: Sequence[int], n: int) -> None:
         raise InvalidWitness(f"n must be positive, got {n}")
     if len(s) != n or len(r) != n:
         raise InvalidWitness(f"s and r must have {n} entries")
-    if any(not _is_int(v) or v < 0 for v in list(s) + list(r)):
+    values = (*s, *r)
+    ints = set(map(type, values)) == {int} or all(map(_is_int, values))
+    if not ints or min(values) < 0:
         raise InvalidWitness("s and r must be nonnegative integers")
     if sum(s) != n:
         raise InvalidWitness(f"sum(s) = {sum(s)}, expected {n}")
     if sum(r) != n:
         raise InvalidWitness(f"sum(r) = {sum(r)}, expected {n}")
-    for idx, (si, ri) in enumerate(zip(s, r)):
-        i = idx + 1
-        if ri > i * si:
-            raise InvalidWitness(f"r_{i} = {ri} exceeds i*s_i = {i * si}")
+    if any(map(gt, r, map(mul, range(1, n + 1), s))):
+        # name the first index over its cap
+        for idx, (si, ri) in enumerate(zip(s, r)):
+            i = idx + 1
+            if ri > i * si:
+                raise InvalidWitness(f"r_{i} = {ri} exceeds i*s_i = {i * si}")
 
 
 def build_witness_matrix(s: Sequence[int], r: Sequence[int], n: int) -> UtilityMatrix:

@@ -103,6 +103,12 @@ def test_g_stationary_point_on_friendly_n():
             assert g_of_d(n, F(p, q)) <= peak
 
 
+def test_g_max_matches_a_full_scan():
+    for n in range(1, 1001):
+        scan = max(Fraction(n * (d + 1), d * d + n) for d in range(n + 1))
+        assert upper_g_max(n) == scan, n
+
+
 # --- exact irrational comparisons ------------------------------------------------
 
 def test_lower_check():

@@ -2,7 +2,7 @@ import doctest
 import json
 import random
 from fractions import Fraction
-from itertools import product
+from itertools import permutations, product
 
 import pytest
 from hypothesis import given, settings
@@ -101,6 +101,10 @@ def test_errors_report_positions_past_the_first_entry():
     assert str(exc.value) == "ColumnNotNormalized(2, 11/12)"
     assert exc.value.column == 2
     assert exc.value.total == Fraction(11, 12)
+    # a wrong total in column 1 comes before a negative entry in column 2
+    with pytest.raises(ColumnNotNormalized) as exc:
+        UtilityMatrix(((1, 1), (4, -1)), 3)
+    assert str(exc.value) == "ColumnNotNormalized(1, 2/3)"
 
 
 def test_non_fraction_entries_are_coerced():
@@ -306,6 +310,73 @@ def test_square_matching_agrees_with_enumeration():
             assert got is not None and is_envy_free(x, got)
             assert envy_free_optimal_welfare(x) == expected[0]
             assert envy_free_optimal_exhaustive(x) == expected
+
+
+def _tied_columns(rng, n):
+    """Integer columns whose maxima tie on purpose: each is a whole-column
+    tie, a single maximum or a maximum shared with other agents on items
+    drawn from a small pool, so Hall's condition fails often."""
+    pool = rng.sample(range(n), rng.randint(1, n))
+    cols = []
+    for _ in range(n):
+        kind = rng.randrange(3)
+        if kind == 0:
+            cols.append([2] * n)
+            continue
+        col = [rng.randint(0, 3) for _ in range(n)]
+        tops = [rng.choice(pool)] if kind == 1 else rng.sample(pool, rng.randint(1, len(pool)))
+        for i in tops:
+            col[i] = 4
+        cols.append(col)
+    return cols
+
+
+def test_matching_agrees_with_brute_force_on_tied_maxima():
+    rng = random.Random("core:ties:0")
+    found = {True: 0, False: 0}
+    for _ in range(400):
+        n = rng.randint(1, 6)
+        x = UtilityMatrix.from_weights(_tied_columns(rng, n))
+        tops = [{i for i, v in enumerate(col) if v == max(col)} for col in x.grid]
+        exists = any(all(p[j] in tops[j] for j in range(n)) for p in permutations(range(n)))
+        got = envy_free_matching(x)
+        assert (got is not None) == exists
+        if got is not None:
+            assert sorted(got) == list(range(n))
+            assert all(i in tops[j] for i, j in enumerate(got))
+        found[exists] += 1
+    assert min(found.values()) > 50
+
+
+@pytest.mark.parametrize(
+    "cols",
+    [
+        [[1, 0, 0], [1, 0, 0], [0, 1, 1]],  # all n items compatible, no matching
+        [[1, 0, 0], [1, 0, 0], [1, 0, 0]],  # Hall's condition fails on all agents
+        [[1, 1, 1], [1, 0, 0], [1, 0, 0]],  # a whole-column tie skips that check
+    ],
+)
+def test_matching_none_with_and_without_halls_check(cols):
+    x = UtilityMatrix.from_weights(cols)
+    assert envy_free_matching(x) is None
+    assert price_ratio(x).ratio is None
+
+
+def test_optimal_welfare_breaks_ties_toward_the_lowest_agent():
+    # item 1 ties agents 2 and 3, item 2 ties everyone, item 4 has agent 3 alone
+    x = UtilityMatrix.from_weights([[0, 1, 2, 1], [1, 1, 1, 1], [1, 1, 0, 2]])
+    assert optimal_welfare(x) == (Fraction(3, 2), (1, 0, 0, 2))
+    rng = random.Random("core:owners:0")
+    for _ in range(300):
+        n, m = rng.randint(1, 5), rng.randint(1, 5)
+        x = UtilityMatrix.from_weights(
+            [[rng.choice([0, 1, 1]) for _ in range(m - 1)] + [1] for _ in range(n)]
+        )
+        owners = tuple(
+            min(range(n), key=lambda j: (-x.grid[j][i], j)) for i in range(m)
+        )
+        total = sum(x.grid[j][i] for i, j in enumerate(owners))
+        assert optimal_welfare(x) == (Fraction(total, x.scale), owners)
 
 
 def test_all_envy_free_bijections_share_welfare():

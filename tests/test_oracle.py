@@ -1,4 +1,5 @@
 import ast
+import hashlib
 import random
 from fractions import Fraction
 from itertools import combinations_with_replacement
@@ -298,6 +299,35 @@ def test_fuzz_budget_does_not_change_stream():
     loose = list(fuzz_instances(3, 12, seed=5))
     tight = list(fuzz_instances(3, 12, seed=5, attempts=5))
     assert tight == loose
+
+
+def test_fuzz_draw_equals_randrange_17():
+    # fuzz_instances draws rng.randrange(17) inline, as 5 random bits
+    # drawn again while >= 17; that must leave the same values and state
+    for seed in ("fuzz:0:0", "fuzz:3:41", 7, 2**70 + 1):
+        ref, rng = random.Random(seed), random.Random(seed)
+        drawn = []
+        for _ in range(20000):
+            v = rng.getrandbits(5)
+            while v >= 17:
+                v = rng.getrandbits(5)
+            drawn.append(v)
+        assert drawn == [ref.randrange(17) for _ in range(20000)]
+        assert rng.getstate() == ref.getstate()
+
+
+@pytest.mark.parametrize(
+    "n, digest",
+    [
+        (5, "99c8dd0cf1d38f7cf6c3b34a148ac10fcce8733cc70aa356008152b948450ef9"),
+        (6, "8bdc8e6423cac97e5e6cad604d9dd1d1e08c01a4e51f9c85489749f49492c711"),
+        (7, "6d9b9c05ca88eb694137693640557329ae6556ae83a4a516ee2eaa97850e57d9"),
+    ],
+)
+def test_fuzz_stream_is_pinned(n, digest):
+    # recorded from the fuzzer's randrange(17) form; the stream must not move
+    grids = [(x.grid, x.scale) for x in fuzz_instances(n, 50, seed=0)]
+    assert hashlib.sha256(repr(grids).encode()).hexdigest() == digest
 
 
 def test_fuzz_input_validation():

@@ -327,6 +327,33 @@ def test_witness_vector_rejections(s, r, n):
         build_witness_matrix(s, r, n)
 
 
+@pytest.mark.parametrize(
+    "s, r, message",
+    [
+        ([0, True, 2], [0, 0, 3], "nonnegative integers"),
+        ([0, 1.0, 2], [0, 0, 3], "nonnegative integers"),
+        (["0", 1, 2], [0, 0, 3], "nonnegative integers"),
+        ([0, 1, 2], [0, 0, -3], "nonnegative integers"),
+        ([0, -1, 4], [4, 0, 0], "nonnegative integers"),  # before the sums
+        ([0, 1, 1], [3, 1, 0], r"sum\(s\) = 2"),  # before sum(r) and r_1
+        ([1, 1, 1], [2, 2, 0], r"sum\(r\) = 4"),
+        ([1, 1, 1], [2, 0, 1], r"r_1 = 2 exceeds i\*s_i = 1"),
+        ([0, 0, 3], [1, 2, 0], r"r_1 = 1 exceeds i\*s_i = 0"),  # the first index
+    ],
+)
+def test_witness_vector_errors_keep_message_and_order(s, r, message):
+    with pytest.raises(InvalidWitness, match=message):
+        build_witness_matrix(s, r, 3)
+
+
+def test_witness_vectors_take_int_subclasses():
+    class Count(int):
+        pass
+
+    s, r = [Count(0), Count(1), Count(2)], [0, Count(2), 1]
+    assert build_witness_matrix(s, r, 3) == build_witness_matrix([0, 1, 2], [0, 2, 1], 3)
+
+
 def test_witness_realizability_guard():
     with pytest.raises(NonRealizable):
         build_witness_matrix([0, 3, 0], [0, 3, 0], 3)
