@@ -13,8 +13,8 @@ collapses the search to s alone. Two outer searches are provided: the
 restricted family whose sub-n support is two consecutive sizes {j, j+1}
 (plus full-support columns), which contains an optimum, and an exact DP
 over all compositions that does not assume that structure and
-cross-checks it (see `_scan_full`). The DP takes O(n^3) big-integer steps
-per call, so it is guarded to n <= FULL_ENUMERATION_LIMIT.
+cross-checks it (see `_scan_full`). The DP runs over the items filled
+alone, O(n^2) big-integer steps per call, with no size limit.
 
 The restricted family has O(n^2) vectors: the all-full vector and blocks
 (j, x) keyed by the least size j, with x >= 1 columns of size j, y of
@@ -67,9 +67,7 @@ __all__ = [
     "Search",
     "SolveOptions",
     "StructuredWitness",
-    "GuardViolation",
     "KNOWN_RATIOS",
-    "FULL_ENUMERATION_LIMIT",
     "lemma4_candidates",
     "solve_alpha",
     "solve_p_nn",
@@ -79,10 +77,6 @@ __all__ = [
     "read_witness",
     "write_witness",
 ]
-
-# The full search's O(n^3) DP step takes about 3 s at n = 200 on a 2-core
-# x86 box; past this a typed error beats a run of many minutes.
-FULL_ENUMERATION_LIMIT = 200
 
 # Reference values for small n, used by the verify command and regression
 # tests: p(1)..p(9).
@@ -102,14 +96,6 @@ KNOWN_RATIOS = {
 class Search(Enum):
     LEMMA4_RESTRICTED = "lemma4"
     FULL_ENUMERATION = "full"
-
-
-class GuardViolation(ValueError):
-    def __init__(self, n: int):
-        self.n = n
-        super().__init__(
-            f"full enumeration is guarded to n <= {FULL_ENUMERATION_LIMIT}, got n = {n}"
-        )
 
 
 @dataclass(frozen=True)
@@ -262,41 +248,43 @@ def _scan_full(
 
     Columns go in smallest size first, so the greedy fill is a running
     count f of filled items: one more column of size i holds
-    t = min(i, n - f) of them and adds W(i)*(q*t - p) to the key. Let
-    best[c][f] be the most that sizes i..n add to c columns holding f
-    items. At size n it is the n - c full columns' closed form; below n,
+    t = min(i, n - f) of them. Keys are kept relative to the all-full
+    vector, as in `_scan_restricted`: after c columns holding f items the
+    columns left full add W(n)*(q*(n - f) - p*(n - c)), so a column of
+    size i < n adds (W(i) - W(n))*(q*t - p) and the column count c drops
+    out. With best[f] the most that sizes i..n-1 add from f items filled
+    (0 at size n),
 
-        best[c][f] = max(best_{i+1}[c][f], W(i)*(q*t - p) + best_i[c+1][f+t]),
+        best[f] = max(best_{i+1}[f], (W(i) - W(n))*(q*t - p) + best_i[f+t]),
 
-    filled in place for c = n-1 down to 0. Each column fills an item
-    until all n are, so only f >= c is reachable, and only those cells are
-    visited or read. take[i] marks where another column of size i is
-    strictly better; following it from (0, 0) takes the fewest columns of
-    each size in turn, which is the lexicographically least optimal s.
-    O(n^3) per call.
+    filled in place for f = n down to 0. At f = n a column adds
+    -(W(i) - W(n))*p <= 0 and is never taken, so every taken column fills
+    an item. take[i] marks where another column of size i is strictly
+    better; following it from f = 0 takes the fewest columns of each size
+    in turn, which is the lexicographically least optimal s. O(n^2) per
+    call, with no size limit.
     """
-    w = n + 1
-    best = [wgt[n] * (q * (n - f) - p * (n - c)) for c in range(w) for f in range(w)]
-    take = [bytearray()] * w
+    w_n = wgt[n]
+    best = [0] * (n + 1)
+    take = [bytearray()] * n
     for i in range(n - 1, 0, -1):
-        marks = take[i] = bytearray(w * w)
-        for c in range(n - 1, -1, -1):
-            row = c * w
-            for f in range(c, w):
-                t = min(i, n - f)
-                key = wgt[i] * (q * t - p) + best[row + w + f + t]
-                if key > best[row + f]:
-                    best[row + f] = key
-                    marks[row + f] = 1
+        u = wgt[i] - w_n
+        marks = take[i] = bytearray(n + 1)
+        for f in range(n, -1, -1):
+            t = min(i, n - f)
+            key = u * (q * t - p) + best[f + t]
+            if key > best[f]:
+                best[f] = key
+                marks[f] = 1
     s = [0] * n
-    c = f = 0
+    f = 0
     for i in range(1, n):
-        while take[i][c * w + f]:
+        marks = take[i]
+        while marks[f]:
             s[i - 1] += 1
-            c += 1
             f += min(i, n - f)
-    s[n - 1] = n - c
-    return best[0], tuple(s)
+    s[n - 1] = n - sum(s)
+    return best[0] + w_n * (q - p) * n, tuple(s)
 
 
 def _witness_ratio(s: Sequence[int], r: Sequence[int]) -> Fraction:
@@ -322,17 +310,10 @@ def solve_alpha(
     alpha = _check_rational(alpha, "alpha")
     opts = options or SolveOptions()
 
-    if n == 1:
-        s = (1,)
-        witness = StructuredWitness(s, (1,), Fraction(1))
-        return Fraction(1) - alpha, witness
-
     p, q = alpha.numerator, alpha.denominator
     m = math.lcm(*range(1, n + 1))
     wgt = [0] + [m // i for i in range(1, n + 1)]
     if opts.search is Search.FULL_ENUMERATION:
-        if n > FULL_ENUMERATION_LIMIT:
-            raise GuardViolation(n)
         best_key, best_s = _scan_full(n, p, q, wgt)
     else:
         best_key, best_s = _scan_restricted(n, p, q, wgt)

@@ -130,13 +130,11 @@ def validate_assignment(x: UtilityMatrix, tau: Sequence[int]) -> None:
     """
     if len(tau) != x.m:
         raise ValueError(f"tau covers {len(tau)} items, matrix has {x.m}")
-    grid = x.grid
-    for i in range(x.m):
-        j = tau[i]
-        if not 0 <= j < x.n:
-            raise ValueError(f"tau[{i}] = {j} out of range 0..{x.n - 1}")
-        row_max = max(grid[g][i] for g in range(x.n))
-        if grid[j][i] != row_max:
+    n = x.n
+    for i, (j, row) in enumerate(zip(tau, zip(*x.grid))):
+        if not 0 <= j < n:
+            raise ValueError(f"tau[{i}] = {j} out of range 0..{n - 1}")
+        if row[j] != max(row):
             raise InconsistentTau(i + 1, j + 1)
 
 

@@ -79,9 +79,9 @@ def test_criterion_2_oracle_equivalence():
     # three independent searches: the restricted scan, the DP over every
     # composition (which does not assume the restricted structure) and the
     # vertex-configuration oracle
-    with criterion(2, "three-way agreement to n=100", budget=30.0):
+    with criterion(2, "three-way agreement to n=1000", budget=30.0):
         full = SolveOptions(search=Search.FULL_ENUMERATION)
-        for n in [*range(1, 61), 80, 100]:
+        for n in [*range(1, 151), 200, 300, 500, 1000]:
             w = solve_p_nn(n)
             value, _ = oracle_p_nn(n)
             assert value == w.ratio, n

@@ -145,13 +145,20 @@ def test_sandwich_on_known_values():
 
 def test_sandwich_and_construction_hold_exactly_to_300():
     # the paper's Theta(sqrt n) sandwich and its square-root construction,
-    # checked against the exact p(n) over three times criterion 4's range
+    # checked against the exact p(n) over three times criterion 4's range.
+    # The band sqrt(n)/2 + 1/4 < p(n) <= sqrt(n)/2 + 1/4 + c/sqrt(n) is an
+    # observed pattern, not a theorem: c = 2/15 holds for n >= 50 (it fails
+    # only at the squares 1, 4, ..., 49, and n = 64 attains it), c = 1/4 for
+    # every n. Both are checked squared, in exact arithmetic.
     t0 = time.perf_counter()
     for n in range(1, 301):
         p = solve_p_nn(n).ratio
         assert check_lower_bound(n, p), n
         assert check_upper_bound(n, p), n
         assert p >= construction_ratio(n), n
+        assert (4 * p - 1) ** 2 > 4 * n, n
+        c = F(2, 15) if n >= 50 else F(1, 4)
+        assert (p - F(1, 4)) ** 2 * n <= (F(n, 2) + c) ** 2, n
     elapsed = time.perf_counter() - t0
     assert elapsed < SANDWICH_300_BUDGET_S, f"{elapsed:.2f}s"
 

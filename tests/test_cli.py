@@ -23,8 +23,8 @@ def test_nn_prints_exact_fraction():
 
 
 def test_nn_modes_and_searches_agree():
-    # n = 13 was past the old enumeration's guard; the DP reaches it
-    for n, want in (("7", "63/40\n"), ("13", "208/101\n")):
+    # n = 13 and 201 were past the old guards of the full search
+    for n, want in (("7", "63/40\n"), ("13", "208/101\n"), ("201", "39396/5365\n")):
         for extra in ([], ["--search", "full"]):
             result = invoke("nn", "--n", n, *extra)
             assert result.exit_code == 0
@@ -40,12 +40,6 @@ def test_nn_rejects_bad_n():
     result = invoke("nn", "--n", "0")
     assert result.exit_code == 2
     assert "n must be positive" in result.output
-
-
-def test_nn_full_search_guard_is_an_input_error():
-    result = invoke("nn", "--n", "201", "--search", "full")
-    assert result.exit_code == 2
-    assert "full enumeration is guarded" in result.output
 
 
 def test_unknown_flag_is_a_usage_error():

@@ -10,8 +10,6 @@ import pytest
 from envyprice import core, oracle, solver
 from envyprice.core import RatioSearchFailed, construction_ratio
 from envyprice.solver import (
-    FULL_ENUMERATION_LIMIT,
-    GuardViolation,
     KNOWN_RATIOS,
     Search,
     SolveOptions,
@@ -97,6 +95,14 @@ def test_alpha_objective_monotone_in_alpha():
     for n in (4, 6, 9):
         values = [solve_alpha(n, a)[0] for a in grid]
         assert values == sorted(values, reverse=True)
+
+
+@pytest.mark.parametrize("options", [None, FULL])
+@pytest.mark.parametrize("alpha", [F(0), F(1, 2), F(7, 5), F(3)])
+def test_alpha_single_agent(alpha, options):
+    # one agent, one item: the only composition is s = (1,)
+    witness = StructuredWitness((1,), (1,), F(1))
+    assert solve_alpha(1, alpha, options) == (1 - alpha, witness)
 
 
 def test_alpha_input_validation():
@@ -277,6 +283,54 @@ def test_full_dp_matches_the_enumeration():
             assert solver._scan_full(n, p, q, wgt) == _scan_full(n, p, q, wgt), (n, alpha)
 
 
+# Reference: the full search as a DP over (columns used, items filled)
+# before the column count was dropped, kept verbatim. O(n^3) per call.
+def _scan_full_by_columns(
+    n: int, p: int, q: int, wgt: Sequence[int]
+) -> tuple[int, tuple[int, ...]]:
+    w = n + 1
+    best = [wgt[n] * (q * (n - f) - p * (n - c)) for c in range(w) for f in range(w)]
+    take = [bytearray()] * w
+    for i in range(n - 1, 0, -1):
+        marks = take[i] = bytearray(w * w)
+        for c in range(n - 1, -1, -1):
+            row = c * w
+            for f in range(c, w):
+                t = min(i, n - f)
+                key = wgt[i] * (q * t - p) + best[row + w + f + t]
+                if key > best[row + f]:
+                    best[row + f] = key
+                    marks[row + f] = 1
+    s = [0] * n
+    c = f = 0
+    for i in range(1, n):
+        while take[i][c * w + f]:
+            s[i - 1] += 1
+            c += 1
+            f += min(i, n - f)
+    s[n - 1] = n - c
+    return best[0], tuple(s)
+
+
+def test_items_only_dp_matches_the_column_dp():
+    # dropping the column count shifts every comparison by the same
+    # amount, so the strict marks and the least s must not change;
+    # integer alphas make adding a column tie with not adding it
+    rng = random.Random(15)
+    for n in range(2, 41):
+        scale = math.lcm(*range(1, n + 1))
+        wgt = [0] + [scale // i for i in range(1, n + 1)]
+        ratio = solve_p_nn(n).ratio
+        alphas = {F(0), F(1), F(n), F(n + 1), ratio, ratio - F(1, 1000), ratio + F(1, 1000)}
+        alphas.update(F(rng.randint(0, 3 * n), rng.randint(1, 40)) for _ in range(8))
+        if n <= 20:
+            alphas.update(F(k) for k in range(2, n))
+        for alpha in alphas:
+            p, q = alpha.numerator, alpha.denominator
+            got = solver._scan_full(n, p, q, wgt)
+            assert got == _scan_full_by_columns(n, p, q, wgt), (n, alpha)
+
+
 # --- candidate generation ------------------------------------------------------
 
 def test_candidates_sum_to_n():
@@ -329,11 +383,6 @@ def test_candidates_cover_everything_for_tiny_n():
 def test_full_enumeration_matches_restricted():
     for n in range(1, 9):
         assert solve_p_nn(n, FULL) == solve_p_nn(n)
-
-
-def test_full_enumeration_guard():
-    with pytest.raises(GuardViolation):
-        solve_p_nn(FULL_ENUMERATION_LIMIT + 1, FULL)
 
 
 def test_options_validation():

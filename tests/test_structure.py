@@ -70,6 +70,13 @@ def test_inconsistent_tau(w3):
     assert str(exc.value) == "InconsistentTau(1, 3)"
 
 
+def test_tau_errors_come_in_item_order(w3):
+    # item 1 fails the row maximum before item 3's owner is range-checked
+    with pytest.raises(InconsistentTau) as exc:
+        validate_assignment(w3, (2, 0, 5))
+    assert (exc.value.item, exc.value.agent) == (1, 3)
+
+
 def test_tau_shape_errors(w3):
     with pytest.raises(ValueError):
         validate_assignment(w3, (0, 0))
