@@ -37,7 +37,6 @@ from .core import (
 from .oracle import (
     VertexConfig,
     fuzz_instances,
-    oracle_alpha,
     oracle_p_nn,
     realize_config,
 )
@@ -46,11 +45,9 @@ from .solver import (
     Search,
     SolveOptions,
     StructuredWitness,
-    lemma4_candidates,
     read_witness,
     solve_alpha,
     solve_p_nn,
-    sparse_witness_exists,
     write_witness,
 )
 from .structure import (
@@ -96,15 +93,12 @@ __all__ = [
     "Search",
     "SolveOptions",
     "StructuredWitness",
-    "lemma4_candidates",
     "read_witness",
     "solve_alpha",
     "solve_p_nn",
-    "sparse_witness_exists",
     "write_witness",
     "VertexConfig",
     "fuzz_instances",
-    "oracle_alpha",
     "oracle_p_nn",
     "realize_config",
     "BoundReport",

@@ -43,7 +43,8 @@ __all__ = [
     "with_worthless_items",
 ]
 
-# allocation-space ceiling for the explorer's exhaustive certification
+# allocation-space ceiling for the explorer's exhaustive certification; a
+# square instance certifies by matching and is not capped
 EXPLORE_ALLOCATION_CAP = 4 ** 8
 
 
@@ -182,7 +183,7 @@ def explore_witness(
             raise ValueError(f"{name} must be an int, got {value!r}")
     if n < 1 or m < n:
         raise ValueError("need m >= n >= 1")
-    if n ** m > EXPLORE_ALLOCATION_CAP:
+    if m > n and n ** m > EXPLORE_ALLOCATION_CAP:
         raise SearchSpaceTooLarge(n ** m, EXPLORE_ALLOCATION_CAP)
     if budget < 1:
         raise ValueError("budget must be at least 1")

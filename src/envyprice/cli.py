@@ -14,7 +14,7 @@ import click
 
 from .bounds import bound_report, explore_witness
 from .core import format_rational, price_ratio, read_instance
-from .oracle import fuzz_instances, oracle_p_nn
+from .oracle import RejectionCapExceeded, fuzz_instances, oracle_p_nn
 from .solver import (
     KNOWN_RATIOS,
     Search,
@@ -24,12 +24,24 @@ from .solver import (
     write_witness,
 )
 
-def _fail_input(err: Exception) -> None:
-    click.echo(str(err), err=True)
-    sys.exit(2)
+
+class _InputErrorsExit2(click.Group):
+    """Reports a command's input or file error on stderr with exit 2.
+
+    A broken stdout pipe is not one: it goes on to click, which exits 1.
+    """
+
+    def invoke(self, ctx: click.Context):
+        try:
+            return super().invoke(ctx)
+        except BrokenPipeError:
+            raise
+        except (OSError, ValueError, RejectionCapExceeded) as err:
+            click.echo(str(err), err=True)
+            sys.exit(2)
 
 
-@click.group()
+@click.group(cls=_InputErrorsExit2)
 def main() -> None:
     """Exact price-of-envy-freeness computations for n agents, n items."""
 
@@ -45,10 +57,7 @@ def main() -> None:
 @click.option("--approx", is_flag=True, help="Append an approximate float.")
 def nn(n: int, search: str, approx: bool) -> None:
     """Print the exact worst-case ratio for n agents and n items."""
-    try:
-        witness = solve_p_nn(n, SolveOptions(Search(search)))
-    except ValueError as err:
-        _fail_input(err)
+    witness = solve_p_nn(n, SolveOptions(Search(search)))
     line = format_rational(witness.ratio)
     if approx:
         line += f" (approx {float(witness.ratio):.6f})"
@@ -92,11 +101,8 @@ def table(lo: int, hi: int, fmt: str, out: str, approx: bool) -> None:
 @click.option("--n", "n", type=int, required=True)
 def verify(n: int) -> None:
     """Cross-check the solver against the oracle and the reference table."""
-    try:
-        witness = solve_p_nn(n)
-        oracle_value, _ = oracle_p_nn(n)
-    except ValueError as err:
-        _fail_input(err)
+    witness = solve_p_nn(n)
+    oracle_value, _ = oracle_p_nn(n)
     parts = [
         f"solver={format_rational(witness.ratio)}",
         f"oracle={format_rational(oracle_value)}",
@@ -117,10 +123,7 @@ def verify(n: int) -> None:
 @click.option("--out", type=click.Path(dir_okay=False), required=True)
 def witness(n: int, out: str) -> None:
     """Write the maximizing (s, r) witness for n to a JSON file."""
-    try:
-        w = solve_p_nn(n)
-    except ValueError as err:
-        _fail_input(err)
+    w = solve_p_nn(n)
     write_witness(w, out)
     click.echo(format_rational(w.ratio))
 
@@ -129,11 +132,7 @@ def witness(n: int, out: str) -> None:
 @click.argument("path", type=click.Path(allow_dash=False))
 def check(path: str) -> None:
     """Validate an instance file and print its welfare report."""
-    try:
-        x = read_instance(path)
-        report = price_ratio(x)
-    except (OSError, ValueError) as err:
-        _fail_input(err)
+    report = price_ratio(read_instance(path))
     fair = (
         "none"
         if report.envy_free_optimal is None
@@ -190,10 +189,7 @@ def bounds(n: int | None, hi: int | None) -> None:
 @click.option("--seed", type=int, default=0, show_default=True)
 def explore(n: int, m: int, budget: int, seed: int) -> None:
     """Search for high-ratio instances with m >= n items (heuristic)."""
-    try:
-        value, _ = explore_witness(n, m, budget, seed)
-    except ValueError as err:
-        _fail_input(err)
+    value, _ = explore_witness(n, m, budget, seed)
     click.echo(f"heuristic lower bound: {format_rational(value)}")
 
 
@@ -203,10 +199,7 @@ def explore(n: int, m: int, budget: int, seed: int) -> None:
 @click.option("--seed", type=int, default=0, show_default=True)
 def fuzz(n: int, count: int, seed: int) -> None:
     """Fuzz random instances against the exact bound; CSV on stdout."""
-    try:
-        bound = solve_p_nn(n).ratio
-    except ValueError as err:
-        _fail_input(err)
+    bound = solve_p_nn(n).ratio
     click.echo("instance_id,ratio_num,ratio_den,bound_holds")
     violations = 0
     for idx, x in enumerate(fuzz_instances(n, count, seed)):

@@ -73,9 +73,6 @@ class NegativeUtility(ValueError):
         self.value = value
         super().__init__(f"NegativeUtility({item}, {agent})")
 
-    def __str__(self) -> str:
-        return f"NegativeUtility({self.item}, {self.agent})"
-
 
 class ColumnNotNormalized(ValueError):
     """An agent's utilities do not sum to 1. The column is reported 1-based."""
@@ -84,9 +81,6 @@ class ColumnNotNormalized(ValueError):
         self.column = column
         self.total = total
         super().__init__(f"ColumnNotNormalized({column}, {total})")
-
-    def __str__(self) -> str:
-        return f"ColumnNotNormalized({self.column}, {self.total})"
 
 
 class DimensionMismatch(ValueError):

@@ -20,7 +20,7 @@ items the allocation assigns to its agent and has column maximum 1/s, so an
 instance collapses to per-agent pairs (s_j, t_j) with sum t_j <= n; the
 ratio of such a configuration is (sum t_j/s_j) / (sum 1/s_j).
 
-oracle_alpha maximizes sum (t_j - alpha)/s_j exactly: for a fixed t the best
+_oracle_dp maximizes sum (t_j - alpha)/s_j exactly: for a fixed t the best
 support size is forced by the sign of t - alpha (smallest legal when
 positive, n when negative), and the agents are identical, which leaves an
 unbounded knapsack of capacity n over the positive t_j, O(n^2) per step.
@@ -38,7 +38,6 @@ from typing import Iterator
 from .core import (
     UtilityMatrix,
     _check_n,
-    _check_rational,
     _is_int,
     dinkelbach,
     envy_free_matching,
@@ -48,7 +47,6 @@ __all__ = [
     "VertexConfig",
     "LayoutInfeasible",
     "RejectionCapExceeded",
-    "oracle_alpha",
     "oracle_p_nn",
     "realize_config",
     "fuzz_instances",
@@ -143,24 +141,15 @@ def _oracle_dp(n: int, alpha: Fraction) -> tuple[Fraction, VertexConfig]:
     return Fraction(sum(val[t] for t in hits), q * scale), VertexConfig(pairs)
 
 
-def oracle_alpha(n: int, alpha: Fraction) -> Fraction:
-    """Exact maximum over configs of sum (t_j - alpha)/s_j, sum t_j <= n.
-
-    Nonnegative iff the worst-case ratio is at least alpha.
-
-    >>> oracle_alpha(3, Fraction(8, 7))
-    Fraction(0, 1)
-    """
-    _check_n(n)
-    return _oracle_dp(n, _check_rational(alpha, "alpha"))[0]
-
-
 def oracle_p_nn(n: int) -> tuple[Fraction, VertexConfig]:
     """Exact worst-case ratio over configs, with a maximizing config.
 
     Exact Dinkelbach iteration (`core.dinkelbach`) over `_oracle_dp`,
     which starts at the square-root construction's ratio
     (`core.construction_ratio`), attainable and so at most the optimum.
+
+    >>> oracle_p_nn(3)[0]
+    Fraction(8, 7)
     """
     _check_n(n)
     return dinkelbach(n, lambda alpha: _oracle_dp(n, alpha))

@@ -71,7 +71,6 @@ __all__ = [
     "lemma4_candidates",
     "solve_alpha",
     "solve_p_nn",
-    "sparse_witness_exists",
     "witness_to_dict",
     "witness_from_dict",
     "read_witness",
@@ -338,16 +337,6 @@ def solve_p_nn(n: int, options: Optional[SolveOptions] = None) -> StructuredWitn
     _check_n(n)
     opts = options or SolveOptions()
     return dinkelbach(n, lambda alpha: solve_alpha(n, alpha, opts))[1]
-
-
-def sparse_witness_exists(n: int, p: Fraction) -> bool:
-    """True iff the restricted family attains p, i.e. some optimal witness
-    has at most three nonzero s-entries (the family's supports are that
-    sparse by construction)."""
-    objective, witness = solve_alpha(n, p, SolveOptions())
-    if objective != 0:
-        return False
-    return sum(1 for v in witness.s if v) <= 3
 
 
 def witness_to_dict(w: StructuredWitness) -> dict:

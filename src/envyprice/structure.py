@@ -75,9 +75,6 @@ class InconsistentTau(ValueError):
         self.agent = agent
         super().__init__(f"InconsistentTau({item}, {agent})")
 
-    def __str__(self) -> str:
-        return f"InconsistentTau({self.item}, {self.agent})"
-
 
 class NotSmall(ValueError):
     def __init__(self, agent: int):

@@ -22,7 +22,7 @@ from envyprice.core import (
     price_ratio,
 )
 from envyprice.oracle import fuzz_instances, oracle_p_nn
-from envyprice.solver import Search, SolveOptions, solve_p_nn, sparse_witness_exists
+from envyprice.solver import Search, SolveOptions, solve_p_nn
 from envyprice.structure import NonRealizable, build_witness_matrix, reduce_to_square
 
 from util import check_smoothing_monotonicity, random_columns
@@ -90,12 +90,25 @@ def test_criterion_2_oracle_equivalence():
 
 
 def test_criterion_3_hundred_agent_table():
-    with criterion(3, "table to n=100 with sparse witnesses", budget=60.0):
+    # The oracle's knapsack does not restrict support sizes. Read as a
+    # histogram (s_i configs of support size i, r_i their hits), its optimal
+    # config equals the solver's witness, with at most two sizes below n,
+    # consecutive when there are two: the paper's structure, checked by a
+    # search that does not assume it. This is an observed pattern (it holds
+    # for every n <= 300), not a theorem.
+    with criterion(3, "table to n=100, witnesses equal the oracle's configs", budget=60.0):
         table = hundred_table()
         assert len(table) == 100
         for n, w in table.items():
             assert w.ratio >= 1
-            assert sparse_witness_exists(n, w.ratio), n
+            s, r = [0] * n, [0] * n
+            for size, hits in oracle_p_nn(n)[1].pairs:
+                s[size - 1] += 1
+                r[size - 1] += hits
+            assert (tuple(s), tuple(r)) == (w.s, w.r), n
+            below = [i for i in range(1, n) if s[i - 1]]
+            assert len(below) <= 2, n
+            assert len(below) < 2 or below[1] == below[0] + 1, n
 
 
 def test_criterion_4_bound_sandwich():

@@ -1,4 +1,7 @@
 import json
+import re
+import time
+from fractions import Fraction
 
 import pytest
 from click.testing import CliRunner
@@ -105,6 +108,13 @@ def test_witness_file_round_trip(tmp_path):
     assert result.exit_code == 0
     assert result.output == "60/43\n"
     assert read_witness(str(out)) == solve_p_nn(5)
+
+
+def test_witness_unwritable_path_is_an_input_error():
+    result = invoke("witness", "--n", "5", "--out", "/nonexistent/dir/w.json")
+    assert result.exit_code == 2
+    assert result.stdout == ""
+    assert "No such file or directory" in result.stderr
 
 
 # --- check --------------------------------------------------------------------------
@@ -220,3 +230,67 @@ def test_fuzz_rejects_count_below_one(count):
     result = invoke("fuzz", "--n", "5", "--count", count)
     assert result.exit_code == 2
     assert "instance_id" not in result.output
+
+
+def test_fuzz_rejection_cap_is_an_input_error():
+    # at n = 9 the 300 draws of --count 3 run out at instance 2: the rows
+    # already printed stay, and the message goes to stderr
+    result = invoke("fuzz", "--n", "9", "--count", "3")
+    assert result.exit_code == 2
+    lines = result.stdout.splitlines()
+    assert lines[0] == "instance_id,ratio_num,ratio_den,bound_holds"
+    assert [line.split(",")[0] for line in lines[1:]] == ["0", "1"]
+    assert result.stderr == "aggregate attempt budget 300 exhausted at instance 2\n"
+
+
+# --- scale -----------------------------------------------------------------------------
+
+# One run per subcommand at a size in the thousands where it has one. Wall
+# times through CliRunner on a 2-core x86 box (Python 3.11.7): nn 0.20 s,
+# verify 0.95 s, bounds < 0.01 s, witness 0.01 s, fuzz 0.17 s, explore
+# 0.10 s. Each budget leaves room for a host that runs several times slower.
+
+def scale_invoke(budget_s, *args):
+    t0 = time.perf_counter()
+    result = invoke(*args)
+    elapsed = time.perf_counter() - t0
+    assert result.exit_code == 0, result.output
+    assert elapsed < budget_s, f"{elapsed:.2f}s"
+    return result.output
+
+
+def test_nn_at_scale():
+    assert re.fullmatch(r"\d+/\d+\n", scale_invoke(2.0, "nn", "--n", "5000"))
+
+
+def test_verify_at_scale():
+    out = scale_invoke(5.0, "verify", "--n", "2000")
+    assert re.fullmatch(r"solver=(\d+/\d+) oracle=\1\n", out)
+
+
+def test_bounds_at_scale():
+    payload = json.loads(scale_invoke(1.0, "bounds", "--n", "2000"))
+    assert payload["n"] == 2000
+    assert payload["p_exact"] is None
+    assert payload["checks"] and all(payload["checks"].values())
+
+
+def test_witness_at_scale(tmp_path):
+    out = tmp_path / "w1000.json"
+    line = scale_invoke(1.0, "witness", "--n", "1000", "--out", str(out))
+    assert line == f"{read_witness(str(out)).ratio}\n"
+
+
+def test_fuzz_at_scale():
+    out = scale_invoke(2.0, "fuzz", "--n", "300", "--count", "1")
+    assert re.fullmatch(
+        r"instance_id,ratio_num,ratio_den,bound_holds\n0,\d+,\d+,true\n", out
+    )
+
+
+def test_explore_square_at_scale():
+    # 7^7 allocations exceed the explorer's cap, but a square instance
+    # certifies by matching, so the cap applies only when m > n
+    out = scale_invoke(2.0, "explore", "--n", "7", "--m", "7", "--budget", "1000")
+    match = re.fullmatch(r"heuristic lower bound: (\d+/\d+)\n", out)
+    assert match and 1 <= Fraction(match[1]) <= KNOWN_RATIOS[7]

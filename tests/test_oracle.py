@@ -13,8 +13,8 @@ from envyprice.oracle import (
     LayoutInfeasible,
     RejectionCapExceeded,
     VertexConfig,
+    _oracle_dp,
     fuzz_instances,
-    oracle_alpha,
     oracle_p_nn,
     realize_config,
 )
@@ -71,19 +71,12 @@ def test_config_validation(pairs):
 def test_alpha_one_attainable():
     # the all-uniform config (s_j = n, t_j = 1) scores exactly zero
     for n in (1, 2, 5, 9):
-        assert oracle_alpha(n, F(1)) >= 0
+        assert _oracle_dp(n, F(1))[0] >= 0
 
 
 def test_alpha_n3():
-    assert oracle_alpha(3, F(8, 7)) == 0
-    assert oracle_alpha(3, F(2)) < 0
-
-
-def test_alpha_input_validation():
-    with pytest.raises(ValueError):
-        oracle_alpha(0, F(1))
-    with pytest.raises(ValueError):
-        oracle_alpha(3, F(-1, 2))
+    assert _oracle_dp(3, F(8, 7))[0] == 0
+    assert _oracle_dp(3, F(2))[0] < 0
 
 
 def _literal_best(n: int, alphas: list[Fraction]) -> list[Fraction]:
@@ -103,13 +96,13 @@ def test_dp_matches_literal_enumeration():
     grid = [F(0), F(1), F(8, 7), F(4, 3), F(3, 2), F(2), F(3)]
     for n in range(1, 5):
         expected = _literal_best(n, grid)
-        got = [oracle_alpha(n, a) for a in grid]
+        got = [_oracle_dp(n, a)[0] for a in grid]
         assert got == expected
 
 
 def test_dp_matches_literal_enumeration_n5():
     grid = [F(1), F(60, 43), F(2)]
-    assert [oracle_alpha(5, a) for a in grid] == _literal_best(5, grid)
+    assert [_oracle_dp(5, a)[0] for a in grid] == _literal_best(5, grid)
 
 
 def test_dp_matches_literal_enumeration_on_seeded_alphas():
@@ -117,7 +110,7 @@ def test_dp_matches_literal_enumeration_on_seeded_alphas():
     for n in range(1, 6):
         grid = [F(0), F(n), F(n + 1), F(5 * n, 2)]
         grid += [F(rng.randint(0, 3 * n * 7), rng.randint(1, 7)) for _ in range(5)]
-        assert [oracle_alpha(n, a) for a in grid] == _literal_best(n, grid), n
+        assert [_oracle_dp(n, a)[0] for a in grid] == _literal_best(n, grid), n
 
 
 # --- the ratio ----------------------------------------------------------------
@@ -177,15 +170,11 @@ def test_oracle_input_validation():
 @pytest.mark.parametrize(
     "call",
     [
-        lambda: oracle_alpha(5, 1.3),
-        lambda: oracle_alpha(5, False),
-        lambda: oracle_alpha(5.0, F(1)),
         lambda: oracle_p_nn(2.5),
         lambda: oracle_p_nn(2.0),
         lambda: oracle_p_nn(True),
     ],
-    ids=["alpha-float", "alpha-bool", "n-float", "search-n-float", "search-n-whole-float",
-         "search-n-bool"],
+    ids=["search-n-float", "search-n-whole-float", "search-n-bool"],
 )
 def test_floats_and_non_int_n_are_rejected(call):
     with pytest.raises(ValueError, match="must be an int"):

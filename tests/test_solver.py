@@ -18,7 +18,6 @@ from envyprice.solver import (
     read_witness,
     solve_alpha,
     solve_p_nn,
-    sparse_witness_exists,
     witness_from_dict,
     witness_to_dict,
     write_witness,
@@ -397,13 +396,12 @@ def test_options_validation():
         lambda: solve_alpha(5, True),
         lambda: solve_alpha(5, "3/2"),
         lambda: solve_alpha(2.0, F(1)),
-        lambda: sparse_witness_exists(4, 1.5),
         lambda: solve_p_nn(True),
         lambda: solve_p_nn(2.0),
         lambda: solve_p_nn(F(3)),
     ],
-    ids=["alpha-float", "alpha-bool", "alpha-str", "n-float", "sparse-float",
-         "n-bool", "n-float-solve", "n-fraction"],
+    ids=["alpha-float", "alpha-bool", "alpha-str", "n-float", "n-bool",
+         "n-float-solve", "n-fraction"],
 )
 def test_floats_and_non_int_n_are_rejected(call):
     # a float alpha would be read as its 53-bit binary expansion
@@ -413,7 +411,6 @@ def test_floats_and_non_int_n_are_rejected(call):
 
 def test_int_alpha_is_accepted():
     assert solve_alpha(5, 1) == solve_alpha(5, F(1))
-    assert sparse_witness_exists(4, F(4, 3)) and not sparse_witness_exists(4, 2)
 
 
 # --- the warm start -----------------------------------------------------------
@@ -478,12 +475,6 @@ def test_returned_witnesses_are_certified():
         w = solve_p_nn(n)
         objective, _ = solve_alpha(n, w.ratio)
         assert objective == 0
-
-
-def test_sparse_witness_exists_small_n():
-    for n in range(1, 13):
-        assert sparse_witness_exists(n, solve_p_nn(n).ratio)
-    assert not sparse_witness_exists(4, F(2))
 
 
 def test_structured_witness_validation():
