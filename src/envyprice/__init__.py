@@ -52,7 +52,6 @@ from .solver import (
 )
 from .structure import (
     AgentClass,
-    CanonicalInstance,
     build_witness_matrix,
     canonicalize,
     classify_agents,
@@ -81,7 +80,6 @@ __all__ = [
     "read_instance",
     "write_instance",
     "AgentClass",
-    "CanonicalInstance",
     "build_witness_matrix",
     "canonicalize",
     "classify_agents",

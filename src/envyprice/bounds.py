@@ -187,6 +187,8 @@ def explore_witness(
         raise SearchSpaceTooLarge(n ** m, EXPLORE_ALLOCATION_CAP)
     if budget < 1:
         raise ValueError("budget must be at least 1")
+    if any((x.n, x.m) != (n, m) for x in seed_matrices):
+        raise ValueError(f"seed matrices must have {n} agents and {m} items")
 
     # the segmented baseline is envy-free and optimal: it certifies ratio 1
     evals = 1

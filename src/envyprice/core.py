@@ -311,6 +311,8 @@ def _int_columns(columns: Sequence[Sequence[int]]) -> tuple[tuple[int, ...], ...
 def _check_allocation(x: UtilityMatrix, allocation: Sequence[int]) -> None:
     if len(allocation) != x.m:
         raise ValueError(f"allocation covers {len(allocation)} items, matrix has {x.m}")
+    if not (set(map(type, allocation)) == {int} or all(map(_is_int, allocation))):
+        raise ValueError("allocation owners must be ints")
     for owner in allocation:
         if not 0 <= owner < x.n:
             raise ValueError(f"allocation owner {owner} out of range 0..{x.n - 1}")

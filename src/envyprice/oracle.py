@@ -32,6 +32,7 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
 from operator import add
 from typing import Iterator
 
@@ -84,7 +85,10 @@ class VertexConfig:
         n = len(self.pairs)
         if n == 0:
             raise ValueError("a config needs at least one agent")
-        normalized = tuple(sorted((int(s), int(t)) for s, t in self.pairs))
+        values = [*chain.from_iterable(self.pairs)]
+        if not (set(map(type, values)) == {int} or all(map(_is_int, values))):
+            raise ValueError("support sizes and hit counts must be ints")
+        normalized = tuple(sorted(map(tuple, self.pairs)))
         object.__setattr__(self, "pairs", normalized)
         total = 0
         for s, t in normalized:

@@ -16,18 +16,17 @@ canonical position: items relabeled so the identity allocation is envy-free
 the treated agent. :func:`canonicalize` produces that relabeling.
 
 The normal form that results consists of columns that are uniform on their
-support: k_j entries of value 1/k_j. :class:`CanonicalInstance` captures it,
-and :func:`build_witness_matrix` reconstructs a full matrix from the support
-size histogram (s, r) that the solver searches over.
+support: k_j entries of value 1/k_j. It has no type of its own:
+:func:`build_witness_matrix` writes it as 0/1 weight columns, straight from
+the support size histogram (s, r) that the solver searches over.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from operator import gt, mul
-from typing import Optional, Sequence
+from typing import Sequence
 
 from .core import (
     Allocation,
@@ -42,7 +41,6 @@ from .core import (
 
 __all__ = [
     "AgentClass",
-    "CanonicalInstance",
     "InconsistentTau",
     "NotSmall",
     "NotBig",
@@ -127,6 +125,8 @@ def validate_assignment(x: UtilityMatrix, tau: Sequence[int]) -> None:
     """
     if len(tau) != x.m:
         raise ValueError(f"tau covers {len(tau)} items, matrix has {x.m}")
+    if not (set(map(type, tau)) == {int} or all(map(_is_int, tau))):
+        raise ValueError("tau entries must be ints")
     n = x.n
     for i, (j, row) in enumerate(zip(tau, zip(*x.grid))):
         if not 0 <= j < n:
@@ -251,52 +251,6 @@ def canonicalize(x: UtilityMatrix) -> UtilityMatrix:
     return UtilityMatrix(tuple(tuple(col[i] for i in item_of) for col in x.grid), x.scale)
 
 
-@dataclass(frozen=True)
-class CanonicalInstance:
-    """Normal-form square instance: each column uniform on its support.
-
-    k[j] is the support size of column j; supports[j] lists the support
-    items for columns with k[j] < n and is None exactly when k[j] = n
-    (a uniform column). Supports must contain the owner's item and be
-    pairwise disjoint. Builders produce at most one item-receiving agent
-    with full support (the one absorbing leftover items).
-    """
-
-    n: int
-    k: tuple[int, ...]
-    supports: tuple[Optional[tuple[int, ...]], ...]
-
-    def __post_init__(self) -> None:
-        n = self.n
-        if len(self.k) != n or len(self.supports) != n:
-            raise ValueError("k and supports must both have one entry per agent")
-        seen: set[int] = set()
-        for j, (kj, sup) in enumerate(zip(self.k, self.supports)):
-            if not 1 <= kj <= n:
-                raise ValueError(f"support size k[{j}] = {kj} out of range 1..{n}")
-            if (sup is None) != (kj == n):
-                raise ValueError(
-                    f"agent {j + 1}: explicit support required exactly when k < n"
-                )
-            if sup is None:
-                continue
-            if len(sup) != kj or len(set(sup)) != kj:
-                raise ValueError(f"agent {j + 1}: support must list {kj} distinct items")
-            if any(not 0 <= i < n for i in sup):
-                raise ValueError(f"agent {j + 1}: support item out of range")
-            if j not in sup:
-                raise ValueError(f"agent {j + 1}: own item missing from support")
-            if seen & set(sup):
-                raise ValueError(f"agent {j + 1}: supports overlap")
-            seen |= set(sup)
-
-    def to_matrix(self) -> UtilityMatrix:
-        return UtilityMatrix.from_weights([
-            [1] * self.n if sup is None else [int(i in sup) for i in range(self.n)]
-            for sup in self.supports
-        ])
-
-
 def _check_witness_vectors(s: Sequence[int], r: Sequence[int], n: int) -> None:
     if n < 1:
         raise InvalidWitness(f"n must be positive, got {n}")
@@ -336,22 +290,16 @@ def build_witness_matrix(s: Sequence[int], r: Sequence[int], n: int) -> UtilityM
     if needed > n:
         raise NonRealizable(needed, n)
 
-    sizes = []  # ascending block sizes, one per block agent
-    for idx, si in enumerate(s[: n - 1]):
-        sizes.extend([idx + 1] * si)
-    b = len(sizes)
-    k = []
-    supports: list[Optional[tuple[int, ...]]] = []
-    fresh = b  # next unclaimed tail item
-    for j, size in enumerate(sizes):
-        block = [j] + list(range(fresh, fresh + size - 1))
-        fresh += size - 1
-        k.append(size)
-        supports.append(tuple(block))
-    for j in range(b, n):
-        k.append(n)
-        supports.append(None)
-    return CanonicalInstance(n, tuple(k), tuple(supports)).to_matrix()
+    cols = []  # block columns, ascending in size
+    fresh = sum(s[: n - 1])  # next unclaimed tail item
+    for size, count in enumerate(s[: n - 1], 1):
+        for _ in range(count):
+            col = [0] * n
+            col[len(cols)] = 1
+            col[fresh : fresh + size - 1] = [1] * (size - 1)
+            fresh += size - 1
+            cols.append(col)
+    return UtilityMatrix.from_weights(cols + [[1] * n] * (n - len(cols)))
 
 
 def reduce_to_square(x: UtilityMatrix) -> UtilityMatrix:

@@ -312,3 +312,9 @@ def test_explore_validation():
     ]:
         with pytest.raises(ValueError, match=f"{name} must be an int"):
             explore_witness(*args)
+    # a seed of another shape would certify a ratio for the wrong instance
+    # size: the 9 x 9 witness gives 9/5, but p(2) = 1
+    w9 = solve_p_nn(9)
+    x9 = build_witness_matrix(w9.s, w9.r, 9)
+    with pytest.raises(ValueError, match="seed matrices must have 2 agents and 2 items"):
+        explore_witness(2, 2, 3, seed_matrices=(x9,))

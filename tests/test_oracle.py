@@ -59,6 +59,9 @@ def test_config_ratio():
         ((3, 1), (2, 0)),  # support size above n
         ((2, 3), (2, 0)),  # hit count above support size
         ((2, 2), (2, 2), (2, 2)),  # hits exceed the item count
+        ((2.9, 1.5), (3, 1), (3.0, 0)),  # floats, which int() would truncate
+        ((3, True), (2, 2), (3, 0)),  # a bool hit count
+        (("3", 1), (2, 2), (3, 0)),  # a string support size
     ],
 )
 def test_config_validation(pairs):

@@ -14,7 +14,6 @@ from envyprice.core import (
 )
 from envyprice.structure import (
     AgentClass,
-    CanonicalInstance,
     FullSupport,
     InconsistentTau,
     InvalidWitness,
@@ -82,6 +81,26 @@ def test_tau_shape_errors(w3):
         validate_assignment(w3, (0, 0))
     with pytest.raises(ValueError):
         validate_assignment(w3, (0, 0, 5))
+
+
+@pytest.mark.parametrize(
+    "owners, allocation_message, tau_message",
+    [
+        ((0, 0), "allocation covers 2 items, matrix has 3", "tau covers 2 items, matrix has 3"),
+        ((0, 0, 5), "allocation owner 5 out of range 0..2", "tau[2] = 5 out of range 0..2"),
+        ((0, 0, 1.0), "allocation owners must be ints", "tau entries must be ints"),
+        ((0, 0, True), "allocation owners must be ints", "tau entries must be ints"),
+    ],
+    ids=["length", "range", "float", "bool"],
+)
+def test_allocation_and_tau_errors(w3, owners, allocation_message, tau_message):
+    for check in (allocation_welfare, is_envy_free):
+        with pytest.raises(ValueError) as exc:
+            check(w3, owners)
+        assert str(exc.value) == allocation_message
+    with pytest.raises(ValueError) as exc:
+        validate_assignment(w3, owners)
+    assert str(exc.value) == tau_message
 
 
 # --- smoothing a small agent -------------------------------------------------
@@ -256,30 +275,7 @@ def test_canonicalize_random_instances():
         done += 1
 
 
-# --- canonical instances and witness reconstruction -------------------------
-
-def test_canonical_instance_to_matrix():
-    inst = CanonicalInstance(3, (2, 3, 3), ((0, 1), None, None))
-    x = inst.to_matrix()
-    assert x.columns[0] == (F(1, 2), F(1, 2), F(0))
-    assert x.columns[1] == x.columns[2] == (F(1, 3),) * 3
-
-
-@pytest.mark.parametrize(
-    "n,k,supports",
-    [
-        (3, (2, 3, 3), (None, None, None)),          # k<n needs explicit support
-        (3, (2, 3, 3), ((1, 2), None, None)),        # own item missing
-        (2, (1, 1), ((0,), (0,))),                   # overlap
-        (3, (2, 3, 3), ((0,), None, None)),          # wrong size
-        (3, (0, 3, 3), ((0,), None, None)),          # k out of range
-        (3, (2, 3), ((0, 1), None)),                 # length mismatch
-    ],
-)
-def test_canonical_instance_rejections(n, k, supports):
-    with pytest.raises(ValueError):
-        CanonicalInstance(n, k, supports)
-
+# --- witness reconstruction --------------------------------------------------
 
 def test_witness_matrix_uniform():
     x = build_witness_matrix([0, 0, 3], [0, 0, 3], 3)
@@ -395,6 +391,20 @@ def test_random_witnesses_certify_their_ratio():
             F(si, i + 1) for i, si in enumerate(s)
         )
         assert price_ratio(x).ratio >= claimed
+        # the first columns are uniform on pairwise-disjoint supports of the
+        # ascending block sizes, each holding its own item; the rest are
+        # uniform on all n items
+        sizes = [i + 1 for i, si in enumerate(s[: n - 1]) for _ in range(si)]
+        seen = set()
+        for j, col in enumerate(x.grid):
+            support = {i for i, v in enumerate(col) if v}
+            assert len({col[i] for i in support}) == 1
+            if j < len(sizes):
+                assert len(support) == sizes[j] and j in support
+                assert not seen & support
+                seen |= support
+            else:
+                assert len(support) == n
         built += 1
 
 
