@@ -2,8 +2,8 @@
 
 Utilities are additive and normalized: entry x[i][j] is the value agent j
 assigns to item i, every agent's column sums to exactly 1, and all entries are
-nonnegative rationals. Everything here is exact; no floats are produced or
-accepted anywhere.
+nonnegative rationals. Everything here is exact: no floats, bools or decimals
+are produced or accepted anywhere, and int subclasses count as ints.
 
 The module provides the instance type (:class:`UtilityMatrix`), welfare of an
 allocation, the welfare optimum, envy-freeness checks, the optimal envy-free
@@ -27,7 +27,7 @@ from fractions import Fraction
 from functools import cached_property
 from itertools import chain
 from operator import add, gt
-from typing import Any, Callable, Optional, Sequence, Union
+from typing import Any, Callable, Iterable, Optional, Sequence, Union
 
 __all__ = [
     "Fraction",
@@ -159,6 +159,12 @@ def _is_int(value: object) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
+def _all_ints(values: Iterable[object]) -> bool:
+    """`_is_int` for every value, in one pass; plain ints take the fast test."""
+    types = set(map(type, values))
+    return types == {int} or all(t is not bool and issubclass(t, int) for t in types)
+
+
 def _check_n(n: object) -> None:
     """Reject an n that is not a positive int (floats and bools included)."""
     if not _is_int(n):
@@ -257,11 +263,11 @@ class UtilityMatrix:
         return Fraction(self.grid[agent][item], self.scale)
 
     @classmethod
-    def from_columns(cls, columns: Sequence[Sequence[Fraction]]) -> "UtilityMatrix":
-        """Build from columns of rationals, each summing to exactly 1. Entries
-        other than Fractions pass through ``Fraction(v)``; floats are refused."""
+    def from_columns(cls, columns: Sequence[Sequence[Any]]) -> "UtilityMatrix":
+        """Build from columns that each sum to exactly 1, of Fractions, ints or
+        "p/q" strings (`parse_rational`); floats, bools and decimals are refused."""
         # Fractions are kept: re-creating one per entry is slow on large matrices.
-        cols = [[v if type(v) is Fraction else _exact(v, i, j) for i, v in enumerate(col)]
+        cols = [[v if isinstance(v, Fraction) else _exact(v, i, j) for i, v in enumerate(col)]
                 for j, col in enumerate(columns)]
         denominators = {v.denominator for col in cols for v in col}
         scale = math.lcm(*denominators)
@@ -285,15 +291,13 @@ class UtilityMatrix:
             grid.append(col)
         return cls(tuple(grid), scale)
 
-    @classmethod
-    def from_strings(cls, columns: Sequence[Sequence[Union[str, int]]]) -> "UtilityMatrix":
-        return cls.from_columns([[parse_rational(v) for v in col] for col in columns])
+    from_strings = from_columns
 
 
 def _exact(v: Any, item: int, agent: int) -> Fraction:
     if isinstance(v, float):
         raise ValueError(f"entry ({item + 1}, {agent + 1}) is a float; use a Fraction")
-    return Fraction(v)
+    return parse_rational(v)
 
 
 def _int_columns(columns: Sequence[Sequence[int]]) -> tuple[tuple[int, ...], ...]:
@@ -303,7 +307,7 @@ def _int_columns(columns: Sequence[Sequence[int]]) -> tuple[tuple[int, ...], ...
         raise ValueError("utility matrix needs at least one agent and one item")
     if len(set(map(len, cols))) != 1:
         raise ValueError("all agent columns must have the same length")
-    if set(map(type, chain.from_iterable(cols))) != {int}:
+    if not _all_ints(chain.from_iterable(cols)):
         raise ValueError("utility matrix entries must be integers")
     return cols
 
@@ -311,7 +315,7 @@ def _int_columns(columns: Sequence[Sequence[int]]) -> tuple[tuple[int, ...], ...
 def _check_allocation(x: UtilityMatrix, allocation: Sequence[int]) -> None:
     if len(allocation) != x.m:
         raise ValueError(f"allocation covers {len(allocation)} items, matrix has {x.m}")
-    if not (set(map(type, allocation)) == {int} or all(map(_is_int, allocation))):
+    if not _all_ints(allocation):
         raise ValueError("allocation owners must be ints")
     for owner in allocation:
         if not 0 <= owner < x.n:
@@ -601,19 +605,13 @@ def instance_from_dict(payload: dict) -> UtilityMatrix:
         raise ValueError(f"instance file: expected a list of {n} columns")
     if len(columns) != n:
         raise ValueError(f"instance file: expected {n} columns, got {len(columns)}")
-    parsed = []
     for j, col in enumerate(columns):
         if not isinstance(col, list) or len(col) != m:
             raise ValueError(f"instance file: column {j + 1} must list {m} entries")
-        entries = []
         for i, v in enumerate(col):
             if isinstance(v, float):
-                raise ValueError(
-                    f"instance file: entry ({i + 1}, {j + 1}) is a float; use \"p/q\""
-                )
-            entries.append(parse_rational(v))
-        parsed.append(tuple(entries))
-    return UtilityMatrix.from_columns(parsed)
+                raise ValueError(f'instance file: entry ({i + 1}, {j + 1}) is a float; use "p/q"')
+    return UtilityMatrix.from_columns(columns)
 
 
 def instance_to_dict(x: UtilityMatrix) -> dict:
@@ -625,15 +623,23 @@ def instance_to_dict(x: UtilityMatrix) -> dict:
 
 
 def read_instance(path: str) -> UtilityMatrix:
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            payload = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ValueError(f"instance file: invalid JSON ({exc})") from exc
-    return instance_from_dict(payload)
+    return instance_from_dict(_read_json(path, ValueError, "instance file"))
 
 
 def write_instance(x: UtilityMatrix, path: str) -> None:
+    _write_json(instance_to_dict(x), path)
+
+
+def _read_json(path: str, error: type[ValueError], what: str) -> Any:
+    """The JSON value in the file at path; invalid JSON raises error, prefixed with what."""
+    with open(path, "r", encoding="utf-8") as fh:
+        try:
+            return json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise error(f"{what}: invalid JSON ({exc})") from exc
+
+
+def _write_json(payload: Any, path: str) -> None:
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(instance_to_dict(x), fh, indent=2)
+        json.dump(payload, fh, indent=2)
         fh.write("\n")

@@ -38,6 +38,7 @@ from typing import Iterator
 
 from .core import (
     UtilityMatrix,
+    _all_ints,
     _check_n,
     _is_int,
     dinkelbach,
@@ -86,7 +87,7 @@ class VertexConfig:
         if n == 0:
             raise ValueError("a config needs at least one agent")
         values = [*chain.from_iterable(self.pairs)]
-        if not (set(map(type, values)) == {int} or all(map(_is_int, values))):
+        if not _all_ints(values):
             raise ValueError("support sizes and hit counts must be ints")
         normalized = tuple(sorted(map(tuple, self.pairs)))
         object.__setattr__(self, "pairs", normalized)
@@ -155,7 +156,6 @@ def oracle_p_nn(n: int) -> tuple[Fraction, VertexConfig]:
     >>> oracle_p_nn(3)[0]
     Fraction(8, 7)
     """
-    _check_n(n)
     return dinkelbach(n, lambda alpha: _oracle_dp(n, alpha))
 
 
@@ -244,6 +244,8 @@ def fuzz_instances(
     for name, value in (("count", count), ("attempts", attempts)):
         if not _is_int(value):
             raise ValueError(f"{name} must be an int, got {value!r}")
+    if count < 0:
+        raise ValueError("count must be nonnegative")
     if attempts < 1:
         raise ValueError("attempts must be at least 1")
     budget = attempts * count

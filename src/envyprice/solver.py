@@ -45,7 +45,6 @@ sign of q*(M*sum r_i/i) - p*(M*sum s_i/i), both factors integers.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 from enum import Enum
@@ -57,6 +56,8 @@ from .core import (
     _check_n,
     _check_rational,
     _is_int,
+    _read_json,
+    _write_json,
     dinkelbach,
     format_rational,
     parse_rational,
@@ -334,7 +335,6 @@ def solve_p_nn(n: int, options: Optional[SolveOptions] = None) -> StructuredWitn
     step runs at alpha = p(n), and its witness is the lexicographically
     least one attaining p(n).
     """
-    _check_n(n)
     opts = options or SolveOptions()
     return dinkelbach(n, lambda alpha: solve_alpha(n, alpha, opts))[1]
 
@@ -368,15 +368,8 @@ def witness_from_dict(payload: dict) -> StructuredWitness:
 
 
 def read_witness(path: str) -> StructuredWitness:
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            payload = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise InvalidWitness(f"witness file: invalid JSON ({exc})") from exc
-    return witness_from_dict(payload)
+    return witness_from_dict(_read_json(path, InvalidWitness, "witness file"))
 
 
 def write_witness(w: StructuredWitness, path: str) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(witness_to_dict(w), fh, indent=2)
-        fh.write("\n")
+    _write_json(witness_to_dict(w), path)

@@ -36,7 +36,7 @@ from .core import (
     envy_free_optimal_exhaustive,
     envy_free_optimal_welfare,
     optimal_welfare,
-    _is_int,
+    _all_ints,
 )
 
 __all__ = [
@@ -125,7 +125,7 @@ def validate_assignment(x: UtilityMatrix, tau: Sequence[int]) -> None:
     """
     if len(tau) != x.m:
         raise ValueError(f"tau covers {len(tau)} items, matrix has {x.m}")
-    if not (set(map(type, tau)) == {int} or all(map(_is_int, tau))):
+    if not _all_ints(tau):
         raise ValueError("tau entries must be ints")
     n = x.n
     for i, (j, row) in enumerate(zip(tau, zip(*x.grid))):
@@ -257,8 +257,7 @@ def _check_witness_vectors(s: Sequence[int], r: Sequence[int], n: int) -> None:
     if len(s) != n or len(r) != n:
         raise InvalidWitness(f"s and r must have {n} entries")
     values = (*s, *r)
-    ints = set(map(type, values)) == {int} or all(map(_is_int, values))
-    if not ints or min(values) < 0:
+    if not _all_ints(values) or min(values) < 0:
         raise InvalidWitness("s and r must be nonnegative integers")
     if sum(s) != n:
         raise InvalidWitness(f"sum(s) = {sum(s)}, expected {n}")

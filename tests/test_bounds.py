@@ -29,6 +29,8 @@ F = Fraction
 # a full tier-1 run; the budget leaves room for a host that runs 40% slower
 # in spells, and a search started at alpha = 1 (12.8 s) fails it
 SANDWICH_300_BUDGET_S = 10.0
+# 1.0-1.5 s measured on the same box for the 11 values of the sample to 5000
+SANDWICH_5000_SAMPLE_BUDGET_S = 6.0
 
 
 # --- the square-root construction ---------------------------------------------
@@ -143,24 +145,39 @@ def test_sandwich_on_known_values():
         assert check_upper_bound(n, p)
 
 
-def test_sandwich_and_construction_hold_exactly_to_300():
+def _assert_sandwich(n, c):
     # the paper's Theta(sqrt n) sandwich and its square-root construction,
-    # checked against the exact p(n) over three times criterion 4's range.
-    # The band sqrt(n)/2 + 1/4 < p(n) <= sqrt(n)/2 + 1/4 + c/sqrt(n) is an
-    # observed pattern, not a theorem: c = 2/15 holds for n >= 50 (it fails
+    # checked against the exact p(n). The band
+    # sqrt(n)/2 + 1/4 < p(n) <= sqrt(n)/2 + 1/4 + c/sqrt(n) is an observed
+    # pattern, not a theorem; it is checked squared, in exact arithmetic.
+    p = solve_p_nn(n).ratio
+    assert check_lower_bound(n, p), n
+    assert check_upper_bound(n, p), n
+    assert p >= construction_ratio(n), n
+    assert (4 * p - 1) ** 2 > 4 * n, n
+    assert (p - F(1, 4)) ** 2 * n <= (F(n, 2) + c) ** 2, n
+
+
+def test_sandwich_and_construction_hold_exactly_to_300():
+    # three times criterion 4's range: c = 2/15 holds for n >= 50 (it fails
     # only at the squares 1, 4, ..., 49, and n = 64 attains it), c = 1/4 for
-    # every n. Both are checked squared, in exact arithmetic.
+    # every n
     t0 = time.perf_counter()
     for n in range(1, 301):
-        p = solve_p_nn(n).ratio
-        assert check_lower_bound(n, p), n
-        assert check_upper_bound(n, p), n
-        assert p >= construction_ratio(n), n
-        assert (4 * p - 1) ** 2 > 4 * n, n
-        c = F(2, 15) if n >= 50 else F(1, 4)
-        assert (p - F(1, 4)) ** 2 * n <= (F(n, 2) + c) ** 2, n
+        _assert_sandwich(n, F(2, 15) if n >= 50 else F(1, 4))
     elapsed = time.perf_counter() - t0
     assert elapsed < SANDWICH_300_BUDGET_S, f"{elapsed:.2f}s"
+
+
+def test_sandwich_and_construction_hold_exactly_on_a_sample_to_5000():
+    # one seeded n per width-500 stratum of 301..5000, plus n = 5000
+    rng = random.Random(5000)
+    sample = [rng.randrange(lo, min(lo + 500, 5001)) for lo in range(301, 5001, 500)]
+    t0 = time.perf_counter()
+    for n in [*sample, 5000]:
+        _assert_sandwich(n, F(2, 15))
+    elapsed = time.perf_counter() - t0
+    assert elapsed < SANDWICH_5000_SAMPLE_BUDGET_S, f"{elapsed:.2f}s"
 
 
 # --- input validation ----------------------------------------------------------------

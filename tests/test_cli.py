@@ -164,6 +164,23 @@ def test_check_malformed_file_is_an_input_error(tmp_path, text):
     assert "instance file" in result.output
 
 
+@pytest.mark.parametrize(
+    "entry, stderr",
+    [
+        ("0.5", 'instance file: entry (1, 2) is a float; use "p/q"\n'),
+        ("true", "not a rational in p/q form: True\n"),
+        ('"0.5"', "not a rational in p/q form: '0.5'\n"),
+    ],
+    ids=["float", "bool", "decimal-string"],
+)
+def test_check_rejects_an_inexact_entry(tmp_path, entry, stderr):
+    path = tmp_path / "bad.json"
+    path.write_text(f'{{"n": 2, "m": 2, "columns": [["1/2", "1/2"], [{entry}, "1/2"]]}}')
+    result = invoke("check", str(path))
+    assert result.exit_code == 2
+    assert (result.stdout, result.stderr) == ("", stderr)
+
+
 # --- bounds --------------------------------------------------------------------------
 
 def test_bounds_single_n_json():

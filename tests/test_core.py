@@ -1,6 +1,7 @@
 import doctest
 import json
 import random
+from decimal import Decimal
 from fractions import Fraction
 from itertools import permutations, product
 
@@ -133,6 +134,40 @@ def test_float_entries_rejected_with_their_position():
         UtilityMatrix.from_columns([[0.1, 0.9]])
     with pytest.raises(ValueError, match=r"entry \(2, 2\) is a float"):
         UtilityMatrix.from_columns([[1, 0], [Fraction(1, 2), 0.5]])
+
+
+@pytest.mark.parametrize("build", [UtilityMatrix.from_columns, UtilityMatrix.from_strings])
+@pytest.mark.parametrize(
+    "columns",
+    [[[True, 0]], [[False, 1]], [["0.5", "1/2"]], [[Decimal("0.5"), "1/2"]]],
+    ids=["true", "false", "decimal-string", "decimal"],
+)
+def test_rational_constructors_reject_bools_and_decimals(build, columns):
+    # each column sums to 1, so only the entry type is wrong
+    with pytest.raises(ValueError, match="not a rational in p/q form"):
+        build(columns)
+
+
+def test_from_strings_is_from_columns():
+    # a classmethod binds anew on each access, so compare the class attributes
+    assert vars(UtilityMatrix)["from_strings"] is vars(UtilityMatrix)["from_columns"]
+    x = UtilityMatrix.from_strings([[Fraction(1, 2), "1/2"], [1, 0]])
+    assert x == UtilityMatrix.from_weights([[1, 1], [1, 0]])
+    with pytest.raises(ValueError, match=r"entry \(2, 1\) is a float"):
+        UtilityMatrix.from_strings([["1/2", 0.5]])
+
+
+class _Count(int):
+    """An int subclass, accepted wherever a plain int is."""
+
+
+def test_int_subclass_entries_build_the_same_matrix():
+    plain = UtilityMatrix.from_weights([[2, 2, 0], [1, 1, 1]])
+    assert UtilityMatrix.from_weights([[_Count(2), 2, _Count(0)], [1, _Count(1), 1]]) == plain
+    x = UtilityMatrix(((_Count(3), 3, 0), (2, 2, _Count(2))), _Count(6))
+    assert x == plain and hash(x) == hash(plain)
+    assert price_ratio(x) == price_ratio(plain)
+    assert allocation_welfare(x, (_Count(0), 1, _Count(1))) == Fraction(7, 6)
 
 
 def test_ragged_and_empty_matrices_rejected():
@@ -577,8 +612,21 @@ def test_instance_dict_rejections(payload):
 def test_read_instance_rejects_bad_json(tmp_path):
     path = tmp_path / "broken.json"
     path.write_text("{not json")
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^instance file: invalid JSON \("):
         read_instance(str(path))
+
+
+@pytest.mark.parametrize(
+    "second, message",
+    [(["1/2", 0.5], r"entry \(2, 2\) is a float; use \"p/q\""), (["1"], "column 2 must list 2")],
+    ids=["float", "short-column"],
+)
+def test_instance_file_names_shape_and_floats_before_bad_entries(second, message):
+    # column shapes and floats are checked across the whole file before any
+    # entry is read, so the bad entry "x" in column 1 is not the one named
+    payload = {"n": 2, "m": 2, "columns": [["x", "1"], second]}
+    with pytest.raises(ValueError, match=f"^instance file: {message}"):
+        instance_from_dict(payload)
 
 
 # --- report sanity ---------------------------------------------------------

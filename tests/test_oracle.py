@@ -338,6 +338,7 @@ def test_fuzz_input_validation():
         (3, True, "attempts must be an int"),
         (3, 0, "attempts must be at least 1"),
         (3, -2, "attempts must be at least 1"),
+        (-1, 100, "count must be nonnegative"),
     ],
 )
 def test_fuzz_rejects_bad_count_and_attempts(count, attempts, message):

@@ -519,3 +519,10 @@ def test_witness_json_round_trip(tmp_path):
 def test_witness_dict_rejections(payload):
     with pytest.raises(InvalidWitness):
         witness_from_dict(payload)
+
+
+def test_read_witness_rejects_bad_json(tmp_path):
+    path = tmp_path / "broken.json"
+    path.write_text("{not json")
+    with pytest.raises(InvalidWitness, match=r"^witness file: invalid JSON \("):
+        read_witness(str(path))
