@@ -159,10 +159,12 @@ def _is_int(value: object) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
-def _all_ints(values: Iterable[object]) -> bool:
-    """`_is_int` for every value, in one pass; plain ints take the fast test."""
+def _all_ints(values: Iterable[object]) -> Optional[set[type]]:
+    """The set of the values' types if each is an int but not a bool, else None; one pass."""
     types = set(map(type, values))
-    return types == {int} or all(t is not bool and issubclass(t, int) for t in types)
+    if types == {int} or all(t is not bool and issubclass(t, int) for t in types):
+        return types
+    return None
 
 
 def _check_n(n: object) -> None:
@@ -220,9 +222,9 @@ class UtilityMatrix:
 
     def __post_init__(self) -> None:
         grid = _int_columns(self.grid)
-        scale = self.scale
-        if not _is_int(scale) or scale < 1:
-            raise ValueError(f"scale must be a positive integer, got {scale!r}")
+        if not _is_int(self.scale) or self.scale < 1:
+            raise ValueError(f"scale must be a positive integer, got {self.scale!r}")
+        scale = int(self.scale)
         if min(map(min, grid)) < 0 or set(map(sum, grid)) != {scale}:
             # some column is bad: walk them in order to report the first
             for j, col in enumerate(grid):
@@ -301,21 +303,22 @@ def _exact(v: Any, item: int, agent: int) -> Fraction:
 
 
 def _int_columns(columns: Sequence[Sequence[int]]) -> tuple[tuple[int, ...], ...]:
-    """The columns as tuples, once they form a nonempty rectangle of ints."""
+    """The columns as tuples of plain ints, once they form a nonempty rectangle of ints."""
     cols = tuple(map(tuple, columns))
     if not cols or not cols[0]:
         raise ValueError("utility matrix needs at least one agent and one item")
     if len(set(map(len, cols))) != 1:
         raise ValueError("all agent columns must have the same length")
-    if not _all_ints(chain.from_iterable(cols)):
+    types = _all_ints(chain.from_iterable(cols))
+    if types is None:
         raise ValueError("utility matrix entries must be integers")
-    return cols
+    return cols if types == {int} else tuple(tuple(map(int, col)) for col in cols)
 
 
 def _check_allocation(x: UtilityMatrix, allocation: Sequence[int]) -> None:
     if len(allocation) != x.m:
         raise ValueError(f"allocation covers {len(allocation)} items, matrix has {x.m}")
-    if not _all_ints(allocation):
+    if _all_ints(allocation) is None:
         raise ValueError("allocation owners must be ints")
     for owner in allocation:
         if not 0 <= owner < x.n:

@@ -87,7 +87,7 @@ class VertexConfig:
         if n == 0:
             raise ValueError("a config needs at least one agent")
         values = [*chain.from_iterable(self.pairs)]
-        if not _all_ints(values):
+        if _all_ints(values) is None:
             raise ValueError("support sizes and hit counts must be ints")
         normalized = tuple(sorted(map(tuple, self.pairs)))
         object.__setattr__(self, "pairs", normalized)

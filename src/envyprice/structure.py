@@ -125,7 +125,7 @@ def validate_assignment(x: UtilityMatrix, tau: Sequence[int]) -> None:
     """
     if len(tau) != x.m:
         raise ValueError(f"tau covers {len(tau)} items, matrix has {x.m}")
-    if not _all_ints(tau):
+    if _all_ints(tau) is None:
         raise ValueError("tau entries must be ints")
     n = x.n
     for i, (j, row) in enumerate(zip(tau, zip(*x.grid))):
@@ -257,7 +257,7 @@ def _check_witness_vectors(s: Sequence[int], r: Sequence[int], n: int) -> None:
     if len(s) != n or len(r) != n:
         raise InvalidWitness(f"s and r must have {n} entries")
     values = (*s, *r)
-    if not _all_ints(values) or min(values) < 0:
+    if _all_ints(values) is None or min(values) < 0:
         raise InvalidWitness("s and r must be nonnegative integers")
     if sum(s) != n:
         raise InvalidWitness(f"sum(s) = {sum(s)}, expected {n}")

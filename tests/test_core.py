@@ -168,6 +168,22 @@ def test_int_subclass_entries_build_the_same_matrix():
     assert x == plain and hash(x) == hash(plain)
     assert price_ratio(x) == price_ratio(plain)
     assert allocation_welfare(x, (_Count(0), 1, _Count(1))) == Fraction(7, 6)
+    # the matrix keeps plain ints, so no subclass operator takes part in its checks
+    assert {type(v) for col in x.grid for v in col} == {int} and type(x.scale) is int
+
+
+class _Liar(int):
+    """An int subclass that is never less than anything."""
+
+    def __lt__(self, other):
+        return False
+
+
+def test_int_subclass_operators_do_not_check_a_matrix():
+    with pytest.raises(NegativeUtility):
+        UtilityMatrix(((_Liar(-1), 2), (1, 0)), 1)
+    with pytest.raises(NegativeUtility):
+        UtilityMatrix.from_weights([[_Liar(-1), 2], [1, 0]])
 
 
 def test_ragged_and_empty_matrices_rejected():

@@ -1,5 +1,4 @@
 import random
-import time
 from fractions import Fraction
 
 import pytest
@@ -13,8 +12,6 @@ from envyprice.core import (
     optimal_welfare,
     price_ratio,
 )
-from envyprice.oracle import oracle_p_nn
-from envyprice.solver import solve_p_nn
 from envyprice.structure import (
     AgentClass,
     FullSupport,
@@ -41,11 +38,6 @@ from util import (
 )
 
 F = Fraction
-
-# 3.8-4.6 s measured on a 2-core x86 box (Python 3.11.7), alone and inside a
-# full tier-1 run, about 2.8 s of it for the rebuilds; the budget leaves room
-# for a host that runs 2x slower in spells
-CERTIFY_300_BUDGET_S = 15.0
 
 
 def mat(*cols):
@@ -368,17 +360,6 @@ def test_witness_vectors_take_int_subclasses():
 def test_witness_realizability_guard():
     with pytest.raises(NonRealizable):
         build_witness_matrix([0, 3, 0], [0, 3, 0], 3)
-
-
-def test_every_solver_witness_to_300_certifies_and_matches_the_oracle():
-    # criterion 7 does this to n = 30; the oracle is an independent search
-    t0 = time.perf_counter()
-    for n in range(1, 301):
-        w = solve_p_nn(n)
-        assert price_ratio(build_witness_matrix(w.s, w.r, n)).ratio == w.ratio, n
-        assert oracle_p_nn(n)[0] == w.ratio, n
-    elapsed = time.perf_counter() - t0
-    assert elapsed < CERTIFY_300_BUDGET_S, f"{elapsed:.2f}s"
 
 
 def test_random_witnesses_certify_their_ratio():
