@@ -3,7 +3,7 @@
 Utilities are additive and normalized: entry x[i][j] is the value agent j
 assigns to item i, every agent's column sums to exactly 1, and all entries are
 nonnegative rationals. Everything here is exact: no floats, bools or decimals
-are produced or accepted anywhere, and int subclasses count as ints.
+are produced, and only values of type exactly int or Fraction are accepted.
 
 The module provides the instance type (:class:`UtilityMatrix`), welfare of an
 allocation, the welfare optimum, envy-freeness checks, the optimal envy-free
@@ -155,16 +155,13 @@ def dinkelbach(
 
 
 def _is_int(value: object) -> bool:
-    """True for an int that is not a bool (JSON true/false load as bool)."""
-    return isinstance(value, int) and not isinstance(value, bool)
+    """True when the type is exactly int: bools (JSON true/false) and other subclasses fail."""
+    return type(value) is int
 
 
-def _all_ints(values: Iterable[object]) -> Optional[set[type]]:
-    """The set of the values' types if each is an int but not a bool, else None; one pass."""
-    types = set(map(type, values))
-    if types == {int} or all(t is not bool and issubclass(t, int) for t in types):
-        return types
-    return None
+def _all_ints(values: Iterable[object]) -> bool:
+    """True when every value's type is exactly int (one pass); False for none."""
+    return set(map(type, values)) == {int}
 
 
 def _check_n(n: object) -> None:
@@ -176,9 +173,9 @@ def _check_n(n: object) -> None:
 
 
 def _check_rational(value: object, name: str) -> Fraction:
-    """value as a Fraction; only nonnegative ints and Fractions are taken,
-    since a float would be read as its binary expansion and a bool as 0/1."""
-    if not (_is_int(value) or isinstance(value, Fraction)):
+    """value as a Fraction; only nonnegative values of type exactly int or Fraction are
+    taken: a float reads as its binary expansion, a bool as 0/1, a subclass may lie."""
+    if type(value) not in (int, Fraction):
         raise ValueError(f"{name} must be an int or a Fraction, got {value!r}")
     if value < 0:
         raise ValueError(f"{name} must be nonnegative")
@@ -221,10 +218,9 @@ class UtilityMatrix:
     scale: int
 
     def __post_init__(self) -> None:
-        grid = _int_columns(self.grid)
-        if not _is_int(self.scale) or self.scale < 1:
-            raise ValueError(f"scale must be a positive integer, got {self.scale!r}")
-        scale = int(self.scale)
+        grid, scale = _int_columns(self.grid), self.scale
+        if not _is_int(scale) or scale < 1:
+            raise ValueError(f"scale must be a positive integer, got {scale!r}")
         if min(map(min, grid)) < 0 or set(map(sum, grid)) != {scale}:
             # some column is bad: walk them in order to report the first
             for j, col in enumerate(grid):
@@ -267,9 +263,9 @@ class UtilityMatrix:
     @classmethod
     def from_columns(cls, columns: Sequence[Sequence[Any]]) -> "UtilityMatrix":
         """Build from columns that each sum to exactly 1, of Fractions, ints or
-        "p/q" strings (`parse_rational`); floats, bools and decimals are refused."""
-        # Fractions are kept: re-creating one per entry is slow on large matrices.
-        cols = [[v if isinstance(v, Fraction) else _exact(v, i, j) for i, v in enumerate(col)]
+        "p/q" strings (`parse_rational`); floats, bools, decimals and subclasses are refused."""
+        # ints and Fractions are kept: a Fraction per entry is slow on large matrices.
+        cols = [[v if type(v) in (int, Fraction) else _exact(v, i, j) for i, v in enumerate(col)]
                 for j, col in enumerate(columns)]
         denominators = {v.denominator for col in cols for v in col}
         scale = math.lcm(*denominators)
@@ -303,22 +299,21 @@ def _exact(v: Any, item: int, agent: int) -> Fraction:
 
 
 def _int_columns(columns: Sequence[Sequence[int]]) -> tuple[tuple[int, ...], ...]:
-    """The columns as tuples of plain ints, once they form a nonempty rectangle of ints."""
+    """The columns as tuples, once they form a nonempty rectangle of ints."""
     cols = tuple(map(tuple, columns))
     if not cols or not cols[0]:
         raise ValueError("utility matrix needs at least one agent and one item")
     if len(set(map(len, cols))) != 1:
         raise ValueError("all agent columns must have the same length")
-    types = _all_ints(chain.from_iterable(cols))
-    if types is None:
+    if not _all_ints(chain.from_iterable(cols)):
         raise ValueError("utility matrix entries must be integers")
-    return cols if types == {int} else tuple(tuple(map(int, col)) for col in cols)
+    return cols
 
 
 def _check_allocation(x: UtilityMatrix, allocation: Sequence[int]) -> None:
     if len(allocation) != x.m:
         raise ValueError(f"allocation covers {len(allocation)} items, matrix has {x.m}")
-    if _all_ints(allocation) is None:
+    if not _all_ints(allocation):
         raise ValueError("allocation owners must be ints")
     for owner in allocation:
         if not 0 <= owner < x.n:

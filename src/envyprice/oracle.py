@@ -61,6 +61,9 @@ class LayoutInfeasible(ValueError):
         super().__init__(f"LayoutInfeasible({agent}): {detail}")
 
 
+_ATTEMPTS = 100  # draws per emitted instance in the fuzzer's shared budget
+
+
 class RejectionCapExceeded(RuntimeError):
     def __init__(self, instance: int, budget: int):
         self.instance = instance
@@ -86,8 +89,7 @@ class VertexConfig:
         n = len(self.pairs)
         if n == 0:
             raise ValueError("a config needs at least one agent")
-        values = [*chain.from_iterable(self.pairs)]
-        if _all_ints(values) is None:
+        if not _all_ints(chain.from_iterable(self.pairs)):
             raise ValueError("support sizes and hit counts must be ints")
         normalized = tuple(sorted(map(tuple, self.pairs)))
         object.__setattr__(self, "pairs", normalized)
@@ -174,6 +176,7 @@ def realize_config(cfg: VertexConfig, n: int) -> UtilityMatrix:
     config claims. Only fills violating a floor are refused: they would
     push the optimum strictly above the claim.
     """
+    _check_n(n)
     pairs = cfg.pairs
     if len(pairs) != n:
         raise ValueError(f"config has {len(pairs)} agents, expected {n}")
@@ -225,12 +228,10 @@ def realize_config(cfg: VertexConfig, n: int) -> UtilityMatrix:
     return UtilityMatrix.from_weights(columns)
 
 
-def fuzz_instances(
-    n: int, count: int, seed: int, attempts: int = 100
-) -> Iterator[UtilityMatrix]:
+def fuzz_instances(n: int, count: int, seed: int) -> Iterator[UtilityMatrix]:
     """Deterministic stream of valid m = n matrices admitting envy-free
     allocations: integer weights in 0..16 normalized per column, rejection
-    sampling against an aggregate budget of attempts * count draws shared
+    sampling against an aggregate budget of _ATTEMPTS * count draws shared
     by the whole stream.
 
     The fraction of draws admitting an envy-free matching shrinks with n
@@ -241,14 +242,11 @@ def fuzz_instances(
     emitted matrices do not depend on the budget.
     """
     _check_n(n)
-    for name, value in (("count", count), ("attempts", attempts)):
-        if not _is_int(value):
-            raise ValueError(f"{name} must be an int, got {value!r}")
+    if not _is_int(count):
+        raise ValueError(f"count must be an int, got {count!r}")
     if count < 0:
         raise ValueError("count must be nonnegative")
-    if attempts < 1:
-        raise ValueError("attempts must be at least 1")
-    budget = attempts * count
+    budget = _ATTEMPTS * count
     used = 0
     for idx in range(count):
         getrandbits = random.Random(f"fuzz:{seed}:{idx}").getrandbits

@@ -102,6 +102,10 @@ class Search(Enum):
 class SolveOptions:
     search: Search = Search.LEMMA4_RESTRICTED
 
+    def __post_init__(self) -> None:
+        if type(self.search) is not Search:
+            raise ValueError(f"search must be a Search, got {self.search!r}")
+
 
 @dataclass(frozen=True)
 class StructuredWitness:
@@ -308,15 +312,16 @@ def solve_alpha(
     """
     _check_n(n)
     alpha = _check_rational(alpha, "alpha")
-    opts = options or SolveOptions()
+    if options is None:
+        options = SolveOptions()
+    elif not isinstance(options, SolveOptions):
+        raise ValueError(f"options must be a SolveOptions, got {options!r}")
 
     p, q = alpha.numerator, alpha.denominator
     m = math.lcm(*range(1, n + 1))
     wgt = [0] + [m // i for i in range(1, n + 1)]
-    if opts.search is Search.FULL_ENUMERATION:
-        best_key, best_s = _scan_full(n, p, q, wgt)
-    else:
-        best_key, best_s = _scan_restricted(n, p, q, wgt)
+    scan = _scan_full if options.search is Search.FULL_ENUMERATION else _scan_restricted
+    best_key, best_s = scan(n, p, q, wgt)
 
     r = _greedy_fill(best_s, n)
     # the ratio on the scan's weights W(i) = m/i; StructuredWitness checks
@@ -335,8 +340,7 @@ def solve_p_nn(n: int, options: Optional[SolveOptions] = None) -> StructuredWitn
     step runs at alpha = p(n), and its witness is the lexicographically
     least one attaining p(n).
     """
-    opts = options or SolveOptions()
-    return dinkelbach(n, lambda alpha: solve_alpha(n, alpha, opts))[1]
+    return dinkelbach(n, lambda alpha: solve_alpha(n, alpha, options))[1]
 
 
 def witness_to_dict(w: StructuredWitness) -> dict:

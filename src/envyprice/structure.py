@@ -37,6 +37,7 @@ from .core import (
     envy_free_optimal_welfare,
     optimal_welfare,
     _all_ints,
+    _is_int,
 )
 
 __all__ = [
@@ -125,7 +126,7 @@ def validate_assignment(x: UtilityMatrix, tau: Sequence[int]) -> None:
     """
     if len(tau) != x.m:
         raise ValueError(f"tau covers {len(tau)} items, matrix has {x.m}")
-    if _all_ints(tau) is None:
+    if not _all_ints(tau):
         raise ValueError("tau entries must be ints")
     n = x.n
     for i, (j, row) in enumerate(zip(tau, zip(*x.grid))):
@@ -252,12 +253,14 @@ def canonicalize(x: UtilityMatrix) -> UtilityMatrix:
 
 
 def _check_witness_vectors(s: Sequence[int], r: Sequence[int], n: int) -> None:
+    if not _is_int(n):
+        raise InvalidWitness(f"n must be an int, got {n!r}")
     if n < 1:
         raise InvalidWitness(f"n must be positive, got {n}")
     if len(s) != n or len(r) != n:
         raise InvalidWitness(f"s and r must have {n} entries")
     values = (*s, *r)
-    if _all_ints(values) is None or min(values) < 0:
+    if not _all_ints(values) or min(values) < 0:
         raise InvalidWitness("s and r must be nonnegative integers")
     if sum(s) != n:
         raise InvalidWitness(f"sum(s) = {sum(s)}, expected {n}")
@@ -265,8 +268,7 @@ def _check_witness_vectors(s: Sequence[int], r: Sequence[int], n: int) -> None:
         raise InvalidWitness(f"sum(r) = {sum(r)}, expected {n}")
     if any(map(gt, r, map(mul, range(1, n + 1), s))):
         # name the first index over its cap
-        for idx, (si, ri) in enumerate(zip(s, r)):
-            i = idx + 1
+        for i, (si, ri) in enumerate(zip(s, r), 1):
             if ri > i * si:
                 raise InvalidWitness(f"r_{i} = {ri} exceeds i*s_i = {i * si}")
 

@@ -1,9 +1,11 @@
 import doctest
 import json
 import random
+import re
 from decimal import Decimal
 from fractions import Fraction
 from itertools import permutations, product
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -11,7 +13,12 @@ import hypothesis.strategies as st
 
 import envyprice.core
 import envyprice.oracle
-from envyprice.bounds import lower_construction, with_worthless_items
+from envyprice.bounds import (
+    check_upper_bound,
+    g_of_d,
+    lower_construction,
+    with_worthless_items,
+)
 from envyprice.core import (
     Allocation,
     ColumnNotNormalized,
@@ -34,9 +41,9 @@ from envyprice.core import (
     read_instance,
     write_instance,
 )
-from envyprice.oracle import fuzz_instances
-from envyprice.solver import solve_p_nn
-from envyprice.structure import build_witness_matrix
+from envyprice.oracle import VertexConfig, fuzz_instances
+from envyprice.solver import StructuredWitness, solve_alpha, solve_p_nn
+from envyprice.structure import build_witness_matrix, validate_assignment
 from util import brute_ef_allocations, brute_ef_optimum, brute_optimum, random_columns
 
 
@@ -157,21 +164,6 @@ def test_from_strings_is_from_columns():
         UtilityMatrix.from_strings([["1/2", 0.5]])
 
 
-class _Count(int):
-    """An int subclass, accepted wherever a plain int is."""
-
-
-def test_int_subclass_entries_build_the_same_matrix():
-    plain = UtilityMatrix.from_weights([[2, 2, 0], [1, 1, 1]])
-    assert UtilityMatrix.from_weights([[_Count(2), 2, _Count(0)], [1, _Count(1), 1]]) == plain
-    x = UtilityMatrix(((_Count(3), 3, 0), (2, 2, _Count(2))), _Count(6))
-    assert x == plain and hash(x) == hash(plain)
-    assert price_ratio(x) == price_ratio(plain)
-    assert allocation_welfare(x, (_Count(0), 1, _Count(1))) == Fraction(7, 6)
-    # the matrix keeps plain ints, so no subclass operator takes part in its checks
-    assert {type(v) for col in x.grid for v in col} == {int} and type(x.scale) is int
-
-
 class _Liar(int):
     """An int subclass that is never less than anything."""
 
@@ -179,11 +171,47 @@ class _Liar(int):
         return False
 
 
-def test_int_subclass_operators_do_not_check_a_matrix():
-    with pytest.raises(NegativeUtility):
-        UtilityMatrix(((_Liar(-1), 2), (1, 0)), 1)
-    with pytest.raises(NegativeUtility):
-        UtilityMatrix.from_weights([[_Liar(-1), 2], [1, 0]])
+class _LiarFraction(Fraction):
+    """A Fraction subclass that is never less than anything."""
+
+    def __lt__(self, other):
+        return False
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda w3: UtilityMatrix.from_weights([[_Liar(-1), 2], [1, 0]]),
+         "entries must be integers"),
+        (lambda w3: UtilityMatrix(((_Liar(-1), 2), (1, 0)), 1), "entries must be integers"),
+        (lambda w3: UtilityMatrix(((1, 0), (0, 1)), _Liar(1)), "scale must be a positive integer"),
+        (lambda w3: allocation_welfare(w3, (_Liar(0), 1, 2)), "owners must be ints"),
+        (lambda w3: validate_assignment(w3, (_Liar(0), 1, 2)), "tau entries must be ints"),
+        (lambda w3: StructuredWitness((_Liar(-1), 2, 2), (0, 0, 3), Fraction(1)),
+         "nonnegative integers"),
+        (lambda w3: build_witness_matrix([_Liar(-1), 2, 2], [0, 0, 3], 3), "nonnegative integers"),
+        (lambda w3: build_witness_matrix([0, 0, 1], [0, 0, 1], _Liar(1)), "n must be an int"),
+        (lambda w3: VertexConfig(((1, _Liar(-1)),)), "must be ints"),
+        (lambda w3: solve_p_nn(_Liar(-1)), "n must be an int"),
+        (lambda w3: with_worthless_items(w3, _Liar(-1)), "extra must be an int"),
+        (lambda w3: list(fuzz_instances(3, _Liar(-1), seed=0)), "count must be an int"),
+        (lambda w3: UtilityMatrix.from_columns([[_LiarFraction(-1, 2), Fraction(3, 2)], [1, 0]]),
+         "not a rational"),
+        (lambda w3: solve_alpha(3, _LiarFraction(-1)), "alpha must be an int or a Fraction"),
+        (lambda w3: g_of_d(4, _LiarFraction(-1)), "d must be an int or a Fraction"),
+        (lambda w3: check_upper_bound(4, _LiarFraction(-1)), "p must be an int or a Fraction"),
+    ],
+    ids=["from_weights", "UtilityMatrix-entries", "UtilityMatrix-scale",
+         "allocation_welfare", "validate_assignment", "StructuredWitness",
+         "build_witness_matrix", "build_witness_matrix-n", "VertexConfig",
+         "solve_p_nn", "with_worthless_items", "fuzz_instances-count",
+         "from_columns", "solve_alpha", "g_of_d", "check_upper_bound"],
+)
+def test_subclass_numbers_are_refused(w3, call, message):
+    # only values of type exactly int or Fraction count as numbers, so a
+    # subclass cannot get a negative value past a guard by overriding `<`
+    with pytest.raises(ValueError, match=message):
+        call(w3)
 
 
 def test_ragged_and_empty_matrices_rejected():
@@ -342,6 +370,14 @@ def test_module_doctests_pass():
         result = doctest.testmod(module)
         assert result.attempted > 0, module.__name__
         assert result.failed == 0, module.__name__
+
+
+def test_readme_library_block_runs():
+    # the README's only python block; optimize=0 keeps its asserts under -O
+    text = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    blocks = re.findall(r"```python\n(.*?)```", text, re.S)
+    assert len(blocks) == 1
+    exec(compile(blocks[0], "README.md", "exec", optimize=0), {})
 
 
 # --- cross-checks against the literal enumeration oracle -------------------

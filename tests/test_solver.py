@@ -389,6 +389,20 @@ def test_options_validation():
         solve_p_nn(0)
 
 
+def test_options_search_must_be_a_search():
+    # a string would otherwise run the restricted scan whatever it names
+    with pytest.raises(ValueError, match="search must be a Search, got 'full'"):
+        SolveOptions(search="full")
+
+
+@pytest.mark.parametrize("options", ["full", Search.FULL_ENUMERATION, 0])
+def test_options_must_be_solve_options(options):
+    with pytest.raises(ValueError, match="options must be a SolveOptions"):
+        solve_p_nn(12, options)
+    with pytest.raises(ValueError, match="options must be a SolveOptions"):
+        solve_alpha(12, F(1), options)
+
+
 @pytest.mark.parametrize(
     "call",
     [

@@ -349,12 +349,18 @@ def test_witness_vector_errors_keep_message_and_order(s, r, message):
         build_witness_matrix(s, r, 3)
 
 
-def test_witness_vectors_take_int_subclasses():
-    class Count(int):
-        pass
-
-    s, r = [Count(0), Count(1), Count(2)], [0, Count(2), 1]
-    assert build_witness_matrix(s, r, 3) == build_witness_matrix([0, 1, 2], [0, 2, 1], 3)
+@pytest.mark.parametrize(
+    "n, message",
+    [
+        (True, "n must be an int, got True"),
+        (1.0, "n must be an int, got 1.0"),
+        ("1", "n must be an int, got '1'"),
+        (0, "n must be positive, got 0"),
+    ],
+)
+def test_witness_matrix_checks_n(n, message):
+    with pytest.raises(InvalidWitness, match=message):
+        build_witness_matrix([1], [1], n)
 
 
 def test_witness_realizability_guard():
