@@ -55,7 +55,7 @@ def lower_construction(n: int) -> UtilityMatrix:
     _check_n(n)
     k = math.isqrt(n)
     blocks = [[0] * (t * k) + [1] * k + [0] * (n - (t + 1) * k) for t in range(k)]
-    return UtilityMatrix.from_weights(blocks + [[1] * n] * (n - k))
+    return UtilityMatrix.from_weights(blocks + [(1,) * n] * (n - k))
 
 
 def g_of_d(n: int, d: Fraction) -> Fraction:
@@ -178,7 +178,7 @@ def explore_witness(
     fixed arguments; the result is the best certified ratio, so it is a
     true lower bound but carries no optimality claim.
     """
-    for name, value in (("n", n), ("m", m), ("budget", budget)):
+    for name, value in (("n", n), ("m", m), ("budget", budget), ("seed", seed)):
         if not _is_int(value):
             raise ValueError(f"{name} must be an int, got {value!r}")
     if n < 1 or m < n:

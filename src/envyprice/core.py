@@ -207,7 +207,8 @@ class UtilityMatrix:
     agent j, and every column sums to ``scale``, which the constructor reduces
     to the least common denominator, so equal matrices have equal fields. The
     hot loops run on these integers; ``columns``, the Fraction view, is built
-    on first read.
+    on first read. A column object that several agents share is checked,
+    scaled and reduced once, and ``grid`` repeats the resulting tuple.
 
     >>> x = UtilityMatrix.from_weights([[2, 2, 0], [1, 1, 1]])
     >>> x.grid, x.scale, x.entry(0, 0)
@@ -218,11 +219,11 @@ class UtilityMatrix:
     scale: int
 
     def __post_init__(self) -> None:
-        grid, scale = _int_columns(self.grid), self.scale
+        (grid, distinct), scale = _int_columns(self.grid), self.scale
         if not _is_int(scale) or scale < 1:
             raise ValueError(f"scale must be a positive integer, got {scale!r}")
-        if min(map(min, grid)) < 0 or set(map(sum, grid)) != {scale}:
-            # some column is bad: walk them in order to report the first
+        if min(chain.from_iterable(distinct)) < 0 or set(map(sum, distinct)) != {scale}:
+            # some column is bad: walk all agents in order to report the first
             for j, col in enumerate(grid):
                 if min(col) < 0:
                     i = next(i for i, v in enumerate(col) if v < 0)
@@ -231,12 +232,12 @@ class UtilityMatrix:
                 if total != scale:
                     raise ColumnNotNormalized(j + 1, Fraction(total, scale))
         common = scale  # the gcd of scale and every entry
-        for col in grid:
+        for col in distinct:
             if common == 1:
                 break
             common = math.gcd(common, *col)
         if common > 1:
-            grid = tuple(tuple(v // common for v in col) for col in grid)
+            grid = _spread(grid, distinct, [tuple([v // common for v in col]) for col in distinct])
             scale //= common
         object.__setattr__(self, "grid", grid)
         object.__setattr__(self, "scale", scale)
@@ -277,17 +278,17 @@ class UtilityMatrix:
     def from_weights(cls, weights: Sequence[Sequence[int]]) -> "UtilityMatrix":
         """Build from nonnegative integer weights, normalizing each column by
         its own total, which must be positive."""
-        cols = _int_columns(weights)
-        totals = [sum(col) for col in cols]
-        scale = math.lcm(*(t for t in totals if t > 0))
+        cols, distinct = _int_columns(weights)
+        totals = list(map(sum, distinct))
+        scale = math.lcm(*[t for t in totals if t > 0])
         grid = []
-        for col, t in zip(cols, totals):
+        for col, t in zip(distinct, totals):
             # Columns without a positive total pass unscaled; the constructor rejects them.
             if t > 0:
                 factor = scale // t
                 col = tuple([w * factor for w in col])
             grid.append(col)
-        return cls(tuple(grid), scale)
+        return cls(_spread(cols, distinct, grid), scale)
 
     from_strings = from_columns
 
@@ -298,16 +299,26 @@ def _exact(v: Any, item: int, agent: int) -> Fraction:
     return parse_rational(v)
 
 
-def _int_columns(columns: Sequence[Sequence[int]]) -> tuple[tuple[int, ...], ...]:
-    """The columns as tuples, once they form a nonempty rectangle of ints."""
-    cols = tuple(map(tuple, columns))
+def _int_columns(columns: Sequence[Sequence[int]]) -> tuple[tuple, tuple]:
+    """The columns as tuples, once they form a nonempty rectangle of ints, and
+    the distinct column objects among them: ``cols`` itself when none is shared."""
+    cols = tuple(map(tuple, columns))  # keeps a tuple as is, so a shared one stays shared
     if not cols or not cols[0]:
         raise ValueError("utility matrix needs at least one agent and one item")
     if len(set(map(len, cols))) != 1:
         raise ValueError("all agent columns must have the same length")
-    if not _all_ints(chain.from_iterable(cols)):
+    shared = len(set(map(id, cols))) < len(cols)
+    distinct = tuple({id(col): col for col in cols}.values()) if shared else cols
+    if not _all_ints(chain.from_iterable(distinct)):
         raise ValueError("utility matrix entries must be integers")
-    return cols
+    return cols, distinct
+
+
+def _spread(cols: tuple, distinct: tuple, new: list) -> tuple:
+    """cols with each column replaced by the ``new`` entry at its place in ``distinct``."""
+    if distinct is cols:
+        return tuple(new)
+    return tuple(map(dict(zip(map(id, distinct), new)).__getitem__, map(id, cols)))
 
 
 def _check_allocation(x: UtilityMatrix, allocation: Sequence[int]) -> None:

@@ -177,6 +177,8 @@ def realize_config(cfg: VertexConfig, n: int) -> UtilityMatrix:
     push the optimum strictly above the claim.
     """
     _check_n(n)
+    if not isinstance(cfg, VertexConfig):
+        raise ValueError(f"cfg must be a VertexConfig, got {cfg!r}")
     pairs = cfg.pairs
     if len(pairs) != n:
         raise ValueError(f"config has {len(pairs)} agents, expected {n}")
@@ -246,6 +248,8 @@ def fuzz_instances(n: int, count: int, seed: int) -> Iterator[UtilityMatrix]:
         raise ValueError(f"count must be an int, got {count!r}")
     if count < 0:
         raise ValueError("count must be nonnegative")
+    if not _is_int(seed):
+        raise ValueError(f"seed must be an int, got {seed!r}")
     budget = _ATTEMPTS * count
     used = 0
     for idx in range(count):

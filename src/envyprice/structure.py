@@ -300,7 +300,7 @@ def build_witness_matrix(s: Sequence[int], r: Sequence[int], n: int) -> UtilityM
             col[fresh : fresh + size - 1] = [1] * (size - 1)
             fresh += size - 1
             cols.append(col)
-    return UtilityMatrix.from_weights(cols + [[1] * n] * (n - len(cols)))
+    return UtilityMatrix.from_weights(cols + [(1,) * n] * (n - len(cols)))
 
 
 def reduce_to_square(x: UtilityMatrix) -> UtilityMatrix:

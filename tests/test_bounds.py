@@ -326,6 +326,8 @@ def test_explore_validation():
         ((2, True, 5), "m"),
         ((2, 3, 2.5), "budget"),
         ((2, 3, True), "budget"),
+        ((2, 3, 10, 1.5), "seed"),
+        ((2, 3, 10, "1.5"), "seed"),
     ]:
         with pytest.raises(ValueError, match=f"{name} must be an int"):
             explore_witness(*args)

@@ -1,7 +1,9 @@
 import doctest
 import json
+import math
 import random
 import re
+import time
 from decimal import Decimal
 from fractions import Fraction
 from itertools import permutations, product
@@ -261,6 +263,117 @@ def test_grid_entries_must_be_ints(bad):
 def test_scale_must_be_a_positive_int(scale):
     with pytest.raises(ValueError, match="scale"):
         UtilityMatrix(((int(scale),),), scale)
+
+
+# --- columns shared by several agents -------------------------------------------
+
+# 0.02-0.03 s measured for each build at n = 3000 on a 2-core x86 box (Python
+# 3.11.7), where scaling every agent's column apart took 1.4-1.5 s; the budget
+# leaves room for a host that runs several times slower in spells
+SHARED_3000_BUDGET_S = 0.3
+
+
+def _distinct_objects(x):
+    return len(set(map(id, x.grid)))
+
+
+def test_shared_construction_columns_build_the_matrix_of_per_agent_lists():
+    # every n to 100, then one seeded n per width-25 stratum of 101..300, and 300
+    rng = random.Random(300)
+    for n in [*range(1, 101), *(rng.randrange(lo, lo + 25) for lo in range(101, 300, 25)), 300]:
+        k = math.isqrt(n)
+        blocks = [[int(t * k <= i < (t + 1) * k) for i in range(n)] for t in range(k)]
+        x = lower_construction(n)
+        y = UtilityMatrix.from_weights(blocks + [[1] * n for _ in range(n - k)])
+        assert (x.grid, x.scale) == (y.grid, y.scale) and x == y and hash(x) == hash(y), n
+        # the n - k uniform agents hold one tuple
+        assert _distinct_objects(x) == k + (n > k), n
+        assert price_ratio(x) == price_ratio(y), n
+
+
+def test_shared_witness_columns_build_the_matrix_of_per_agent_lists():
+    rng = random.Random(301)
+    for n in [*range(1, 41), *(rng.randrange(lo, lo + 65) for lo in range(41, 300, 65)), 300]:
+        w = solve_p_nn(n)
+        x = build_witness_matrix(w.s, w.r, n)
+        # 0/1 weights on each column's support, one new list per agent
+        y = UtilityMatrix.from_weights([[int(v > 0) for v in col] for col in x.grid])
+        assert (x.grid, x.scale) == (y.grid, y.scale) and x == y, n
+        assert _distinct_objects(x) == len(set(x.grid)), n
+        assert price_ratio(x) == price_ratio(y), n
+        assert price_ratio(x).ratio == w.ratio, n
+
+
+@settings(deadline=None, max_examples=150)
+@given(st.lists(st.lists(st.integers(-1, 6), min_size=3, max_size=3), min_size=1, max_size=3),
+       st.lists(st.integers(0, 2), min_size=1, max_size=6), st.integers(1, 12))
+def test_shared_and_fresh_columns_give_the_same_matrix_or_error(pool, picks, scale):
+    # agents pick columns from a small pool: shared as one tuple, or each its own list
+    pool_tuples = {i: tuple(pool[i % len(pool)]) for i in set(picks)}
+    shared = [pool_tuples[i] for i in picks]
+    fresh = [list(col) for col in shared]
+    for build in (UtilityMatrix.from_weights, lambda cols: UtilityMatrix(cols, scale)):
+        outcomes = []
+        for cols in (shared, fresh):
+            try:
+                x = build(cols)
+                outcomes.append((x.grid, x.scale, hash(x)))
+            except ValueError as exc:
+                outcomes.append((type(exc), str(exc), vars(exc)))
+        assert outcomes[0] == outcomes[1]
+
+
+class _IntSubclass(int):
+    pass
+
+
+@pytest.mark.parametrize(
+    "bad, message",
+    [
+        ((True, 1), "utility matrix entries must be integers"),
+        ((_IntSubclass(1), 1), "utility matrix entries must be integers"),
+        ((0.5, 1.5), "utility matrix entries must be integers"),
+        ((-1, 3), "NegativeUtility(1, 2)"),
+    ],
+    ids=["bool", "int-subclass", "float", "negative"],
+)
+@pytest.mark.parametrize("make", [UtilityMatrix.from_weights, lambda cols: UtilityMatrix(cols, 2)],
+                         ids=["from_weights", "constructor"])
+def test_a_bad_shared_column_is_refused_as_a_fresh_one(bad, message, make):
+    # agents 2 and 4 share the bad column; agent 1's (1, 1) equals the bool
+    # column (True, 1) in value, and must not stand in for its type check
+    good = (1, 1)
+    errors = []
+    for cols in ([good, bad, (2, 0), bad], [list(good), list(bad), [2, 0], list(bad)]):
+        with pytest.raises(ValueError) as exc:
+            make(cols)
+        errors.append((type(exc.value), str(exc.value), vars(exc.value)))
+    assert errors[0] == errors[1]
+    assert errors[0][1] == message
+
+
+def test_a_shared_column_with_a_bad_sum_is_reported_at_its_first_agent():
+    bad = (1, 2)
+    with pytest.raises(ColumnNotNormalized) as exc:
+        UtilityMatrix(((2, 0), (1, 1), bad, (0, 2), bad), 2)
+    assert (exc.value.column, exc.value.total) == (3, Fraction(3, 2))
+    negative = (3, -1)
+    with pytest.raises(NegativeUtility) as exc:
+        UtilityMatrix(((2, 0), negative, bad, negative), 2)
+    assert (exc.value.item, exc.value.agent, exc.value.value) == (2, 2, Fraction(-1, 2))
+
+
+def test_shared_columns_build_at_n_3000_within_budget():
+    n = 3000
+    w = solve_p_nn(n)
+    for build in (lambda: lower_construction(n), lambda: build_witness_matrix(w.s, w.r, n)):
+        t0 = time.perf_counter()
+        x = build()
+        elapsed = time.perf_counter() - t0
+        assert elapsed < SHARED_3000_BUDGET_S, f"{elapsed:.3f}s"
+        assert (x.n, x.m) == (n, n)
+        assert set(map(sum, x.grid)) == {x.scale}
+        assert _distinct_objects(x) == len(set(x.grid)) < 60
 
 
 def test_hot_paths_never_build_the_fraction_view():

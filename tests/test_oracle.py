@@ -294,6 +294,12 @@ def test_realize_checks_n(n, message):
         realize_config(VertexConfig(((1, 1),)), n)
 
 
+@pytest.mark.parametrize("cfg", [((1, 1),), [(1, 1)], None], ids=["tuple", "list", "none"])
+def test_realize_checks_the_config_type(cfg):
+    with pytest.raises(ValueError, match="cfg must be a VertexConfig"):
+        realize_config(cfg, 1)
+
+
 # --- fuzzer --------------------------------------------------------------------
 
 def test_fuzz_is_deterministic():
@@ -382,3 +388,10 @@ def test_fuzz_input_validation():
 def test_fuzz_rejects_bad_count_and_attempts(count, seed, message):
     with pytest.raises(ValueError, match=message):
         list(fuzz_instances(3, count, seed=seed))
+
+
+@pytest.mark.parametrize("seed", [1.5, "1.5", True, None])
+def test_fuzz_seed_must_be_an_int(seed):
+    # 1.5 and "1.5" would format into the same stream key
+    with pytest.raises(ValueError, match="seed must be an int"):
+        list(fuzz_instances(3, 2, seed=seed))
