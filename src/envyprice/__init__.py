@@ -50,16 +50,7 @@ from .solver import (
     solve_p_nn,
     write_witness,
 )
-from .structure import (
-    AgentClass,
-    build_witness_matrix,
-    canonicalize,
-    classify_agents,
-    extremize_offdiagonal,
-    level_big_agent,
-    reduce_to_square,
-    smooth_small_agent,
-)
+from .structure import build_witness_matrix
 
 __version__ = "0.1.0"
 
@@ -79,14 +70,7 @@ __all__ = [
     "price_ratio",
     "read_instance",
     "write_instance",
-    "AgentClass",
     "build_witness_matrix",
-    "canonicalize",
-    "classify_agents",
-    "extremize_offdiagonal",
-    "level_big_agent",
-    "reduce_to_square",
-    "smooth_small_agent",
     "KNOWN_RATIOS",
     "Search",
     "SolveOptions",

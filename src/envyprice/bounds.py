@@ -21,8 +21,8 @@ from fractions import Fraction
 from typing import Optional, Sequence
 
 from .core import (
-    SearchSpaceTooLarge,
     UtilityMatrix,
+    _check_allocation_count,
     _check_n,
     _check_rational,
     _is_int,
@@ -40,7 +40,6 @@ __all__ = [
     "check_lower_bound",
     "bound_report",
     "explore_witness",
-    "with_worthless_items",
 ]
 
 # allocation-space ceiling for the explorer's exhaustive certification; a
@@ -135,17 +134,6 @@ def bound_report(n: int, p_exact: Optional[Fraction] = None) -> BoundReport:
     return BoundReport(n, lower, ceiling, p_exact, tuple(checks))
 
 
-def with_worthless_items(x: UtilityMatrix, extra: int) -> UtilityMatrix:
-    """Append items valued zero by everyone; the price ratio is unchanged
-    because such items alter no bundle's worth."""
-    if not _is_int(extra):
-        raise ValueError(f"extra must be an int, got {extra!r}")
-    if extra < 0:
-        raise ValueError("extra must be nonnegative")
-    pad = (0,) * extra
-    return UtilityMatrix(tuple(col + pad for col in x.grid), x.scale)
-
-
 def _segmented_columns(n: int, m: int) -> list[list[int]]:
     # agent j cares only about its own segment of near-equal size; the
     # segment allocation is envy-free and optimal, so the ratio is 1
@@ -183,12 +171,15 @@ def explore_witness(
             raise ValueError(f"{name} must be an int, got {value!r}")
     if n < 1 or m < n:
         raise ValueError("need m >= n >= 1")
-    if m > n and n ** m > EXPLORE_ALLOCATION_CAP:
-        raise SearchSpaceTooLarge(n ** m, EXPLORE_ALLOCATION_CAP)
+    if m > n:
+        _check_allocation_count(n, m, EXPLORE_ALLOCATION_CAP)
     if budget < 1:
         raise ValueError("budget must be at least 1")
-    if any((x.n, x.m) != (n, m) for x in seed_matrices):
-        raise ValueError(f"seed matrices must have {n} agents and {m} items")
+    for x in seed_matrices:
+        if not isinstance(x, UtilityMatrix):
+            raise ValueError(f"seed matrices must be UtilityMatrix objects, got {x!r}")
+        if (x.n, x.m) != (n, m):
+            raise ValueError(f"seed matrices must have {n} agents and {m} items")
 
     # the segmented baseline is envy-free and optimal: it certifies ratio 1
     evals = 1

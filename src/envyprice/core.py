@@ -91,10 +91,29 @@ class DimensionMismatch(ValueError):
 
 
 class SearchSpaceTooLarge(ValueError):
-    def __init__(self, size: int, cap: int):
-        self.size = size
+    """n^m allocations exceed cap. The count is printed in decimal, or as
+    "n^m" when it has too many digits for Python to print."""
+
+    def __init__(self, n: int, m: int, cap: int):
+        self.n = n
+        self.m = m
         self.cap = cap
+        size = f"{n}^{m}"
+        # n^m has over m * n.bit_length() / 2 bits, so past this bound it has
+        # more digits than Python prints by default (4300) and is not built
+        if m * n.bit_length() <= 1 << 16:
+            try:
+                size = str(n**m)
+            except ValueError:  # past the interpreter's int-to-str limit
+                pass
         super().__init__(f"SearchSpaceTooLarge: {size} allocations exceed cap {cap}")
+
+
+def _check_allocation_count(n: int, m: int, cap: int) -> None:
+    """Raise SearchSpaceTooLarge when n^m exceeds cap. For n >= 2, n^m > cap
+    once m exceeds cap's bit length, so n^m is built only below that."""
+    if (n > 1 and m > cap.bit_length()) or n**m > cap:
+        raise SearchSpaceTooLarge(n, m, cap)
 
 
 # Step bound of `dinkelbach`. Each step strictly raises alpha within the
@@ -503,9 +522,7 @@ def envy_free_optimal_exhaustive(x: UtilityMatrix) -> Optional[tuple[Fraction, A
     EXHAUSTIVE_CAP, whatever the pruning would leave.
     """
     n, m, grid = x.n, x.m, x.grid
-    size = n**m
-    if size > EXHAUSTIVE_CAP:
-        raise SearchSpaceTooLarge(size, EXHAUSTIVE_CAP)
+    _check_allocation_count(n, m, EXHAUSTIVE_CAP)
     items = list(zip(*grid))  # items[i][j] = agent j's value for item i
     # rest[i][j]: agent j's value for items i..; top[i]: their maxima summed
     rest = [(0,) * n] * (m + 1)

@@ -1,6 +1,10 @@
 import pytest
 
-from envyprice.core import UtilityMatrix
+# the lemma checks in util.py are plain asserts: rewriting them, as pytest
+# does for test modules, keeps them running under python -O
+pytest.register_assert_rewrite("util")
+
+from envyprice.core import UtilityMatrix  # noqa: E402
 
 
 @pytest.fixture

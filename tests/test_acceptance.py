@@ -23,9 +23,9 @@ from envyprice.core import (
 )
 from envyprice.oracle import fuzz_instances, oracle_p_nn
 from envyprice.solver import Search, SolveOptions, solve_p_nn
-from envyprice.structure import build_witness_matrix, reduce_to_square
+from envyprice.structure import build_witness_matrix
 
-from util import check_smoothing_monotonicity, random_columns
+from util import check_smoothing_monotonicity, keep_single_item_agents, random_columns
 
 # independent copy of the reference table; must not be imported from the solver
 REFERENCE_TABLE = {
@@ -175,7 +175,7 @@ def test_criterion_8_square_reduction_contracts():
                     for g in owners:
                         counts[g] += 1
                     kept = sum(1 for c in counts if c == 1)
-                    reduced = reduce_to_square(x)
+                    reduced = keep_single_item_agents(x)
                     assert reduced.n == m and reduced.m == m
                     ef_after = envy_free_optimal_welfare(reduced)
                     assert ef_after is not None

@@ -16,12 +16,12 @@ from envyprice.bounds import (
     g_of_d,
     lower_construction,
     upper_g_max,
-    with_worthless_items,
 )
 from envyprice.core import SearchSpaceTooLarge, price_ratio
 from envyprice.oracle import fuzz_instances
 from envyprice.solver import KNOWN_RATIOS, lemma4_candidates, solve_p_nn
 from envyprice.structure import build_witness_matrix
+from util import pad_zero_rows
 
 F = Fraction
 
@@ -252,16 +252,11 @@ def test_bound_report_rejects_out_of_order_values():
 # --- worthless items -----------------------------------------------------------------
 
 def test_worthless_items_preserve_ratio(w3):
-    padded = with_worthless_items(w3, 2)
+    padded = pad_zero_rows(w3, 2)
     assert padded.m == 5 and padded.n == 3
     assert all(col[3] == col[4] == 0 for col in padded.columns)
     assert price_ratio(padded).ratio == F(8, 7)
-    assert with_worthless_items(w3, 0) == w3
-    with pytest.raises(ValueError):
-        with_worthless_items(w3, -1)
-    for extra in (True, 1.0):
-        with pytest.raises(ValueError, match="extra must be an int"):
-            with_worthless_items(w3, extra)
+    assert pad_zero_rows(w3, 0) == w3
 
 
 # --- the explorer --------------------------------------------------------------------
@@ -300,17 +295,22 @@ def test_explore_monotone_in_m_when_reseeded():
     ratio, x = explore_witness(2, 2, 60, seed=1)
     values = [ratio]
     for m in (3, 4):
-        seeded = with_worthless_items(x, 1)
+        seeded = pad_zero_rows(x, 1)
         ratio, x = explore_witness(2, m, 60, seed=1, seed_matrices=(seeded,))
         values.append(ratio)
     assert values == sorted(values)
 
 
 def test_explore_guard():
-    with pytest.raises(SearchSpaceTooLarge):
+    with pytest.raises(SearchSpaceTooLarge, match="131072 allocations exceed cap 65536"):
         explore_witness(2, 17, 5)
     with pytest.raises(SearchSpaceTooLarge):
         explore_witness(5, 7, 5)
+    # 3^(10^7) alone takes seconds to build; the guard decides without it
+    t0 = time.perf_counter()
+    with pytest.raises(SearchSpaceTooLarge, match=r"3\^10000000 allocations exceed cap 65536"):
+        explore_witness(3, 10**7, 5)
+    assert time.perf_counter() - t0 < 1.0
 
 
 def test_explore_validation():
@@ -337,3 +337,5 @@ def test_explore_validation():
     x9 = build_witness_matrix(w9.s, w9.r, 9)
     with pytest.raises(ValueError, match="seed matrices must have 2 agents and 2 items"):
         explore_witness(2, 2, 3, seed_matrices=(x9,))
+    with pytest.raises(ValueError, match="seed matrices must be UtilityMatrix objects"):
+        explore_witness(2, 2, 3, seed_matrices=[[1, 2]])

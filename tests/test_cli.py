@@ -2,6 +2,7 @@ import json
 import re
 import time
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
@@ -227,6 +228,41 @@ def test_explore_guard_is_an_input_error():
     result = invoke("explore", "--n", "2", "--m", "17", "--budget", "5")
     assert result.exit_code == 2
     assert "allocations exceed cap" in result.output
+    result = invoke("explore", "--n", "2", "--m", "20000")
+    assert result.exit_code == 2
+    assert result.output == "SearchSpaceTooLarge: 2^20000 allocations exceed cap 65536\n"
+
+
+def test_check_guard_is_an_input_error(tmp_path):
+    path = tmp_path / "wide.json"
+    write_instance(UtilityMatrix.from_weights([(1,) * 20000] * 2), str(path))
+    result = invoke("check", str(path))
+    assert result.exit_code == 2
+    assert result.output == "SearchSpaceTooLarge: 2^20000 allocations exceed cap 10000000\n"
+
+
+# --- the README's examples ------------------------------------------------------------
+
+def test_readme_command_line_examples(tmp_path):
+    text = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    (instance,) = re.findall(r"```json\n(.*?)```", text, re.S)
+    (tmp_path / "instance.json").write_text(instance, encoding="utf-8")
+    examples = re.findall(r"```sh\n\$ envyprice ([^\n]*)\n(.*?)```", text, re.S)
+    assert [args for args, _ in examples] == [
+        "nn --n 5 --approx",
+        "verify --n 3",
+        "table --from 1 --to 6 --format csv",
+        "check instance.json",
+        "bounds --n 9",
+        "explore --n 2 --m 3 --budget 200 --seed 1",
+    ]
+    for args, want in examples:
+        argv = [str(tmp_path / a) if a == "instance.json" else a for a in args.split()]
+        result = invoke(*argv)
+        assert result.exit_code == 0, args
+        # the bounds example elides its checks with "..."
+        shown, elided, _ = want.partition("  ...\n")
+        assert result.output.startswith(shown) if elided else result.output == want, args
 
 
 # --- fuzz ----------------------------------------------------------------------------

@@ -1,4 +1,5 @@
 import doctest
+import importlib
 import json
 import math
 import random
@@ -15,12 +16,7 @@ import hypothesis.strategies as st
 
 import envyprice.core
 import envyprice.oracle
-from envyprice.bounds import (
-    check_upper_bound,
-    g_of_d,
-    lower_construction,
-    with_worthless_items,
-)
+from envyprice.bounds import check_upper_bound, g_of_d, lower_construction
 from envyprice.core import (
     Allocation,
     ColumnNotNormalized,
@@ -45,8 +41,14 @@ from envyprice.core import (
 )
 from envyprice.oracle import VertexConfig, fuzz_instances
 from envyprice.solver import StructuredWitness, solve_alpha, solve_p_nn
-from envyprice.structure import build_witness_matrix, validate_assignment
-from util import brute_ef_allocations, brute_ef_optimum, brute_optimum, random_columns
+from envyprice.structure import build_witness_matrix
+from util import (
+    brute_ef_allocations,
+    brute_ef_optimum,
+    brute_optimum,
+    pad_zero_rows,
+    random_columns,
+)
 
 
 # --- rational parsing ------------------------------------------------------
@@ -188,14 +190,12 @@ class _LiarFraction(Fraction):
         (lambda w3: UtilityMatrix(((_Liar(-1), 2), (1, 0)), 1), "entries must be integers"),
         (lambda w3: UtilityMatrix(((1, 0), (0, 1)), _Liar(1)), "scale must be a positive integer"),
         (lambda w3: allocation_welfare(w3, (_Liar(0), 1, 2)), "owners must be ints"),
-        (lambda w3: validate_assignment(w3, (_Liar(0), 1, 2)), "tau entries must be ints"),
         (lambda w3: StructuredWitness((_Liar(-1), 2, 2), (0, 0, 3), Fraction(1)),
          "nonnegative integers"),
         (lambda w3: build_witness_matrix([_Liar(-1), 2, 2], [0, 0, 3], 3), "nonnegative integers"),
         (lambda w3: build_witness_matrix([0, 0, 1], [0, 0, 1], _Liar(1)), "n must be an int"),
         (lambda w3: VertexConfig(((1, _Liar(-1)),)), "must be ints"),
         (lambda w3: solve_p_nn(_Liar(-1)), "n must be an int"),
-        (lambda w3: with_worthless_items(w3, _Liar(-1)), "extra must be an int"),
         (lambda w3: list(fuzz_instances(3, _Liar(-1), seed=0)), "count must be an int"),
         (lambda w3: UtilityMatrix.from_columns([[_LiarFraction(-1, 2), Fraction(3, 2)], [1, 0]]),
          "not a rational"),
@@ -204,9 +204,9 @@ class _LiarFraction(Fraction):
         (lambda w3: check_upper_bound(4, _LiarFraction(-1)), "p must be an int or a Fraction"),
     ],
     ids=["from_weights", "UtilityMatrix-entries", "UtilityMatrix-scale",
-         "allocation_welfare", "validate_assignment", "StructuredWitness",
+         "allocation_welfare", "StructuredWitness",
          "build_witness_matrix", "build_witness_matrix-n", "VertexConfig",
-         "solve_p_nn", "with_worthless_items", "fuzz_instances-count",
+         "solve_p_nn", "fuzz_instances-count",
          "from_columns", "solve_alpha", "g_of_d", "check_upper_bound"],
 )
 def test_subclass_numbers_are_refused(w3, call, message):
@@ -430,13 +430,15 @@ def test_matching_requires_square():
 
 
 def test_exhaustive_cap():
-    # 2^24 allocations exceed the cap, so both calls raise before enumerating
-    x = UtilityMatrix.from_weights([[1] * 24, [1] * 24])
-    message = "SearchSpaceTooLarge: 16777216 allocations exceed cap 10000000"
-    with pytest.raises(SearchSpaceTooLarge, match=message):
-        envy_free_optimal_exhaustive(x)
-    with pytest.raises(SearchSpaceTooLarge, match=message):
-        price_ratio(x)
+    # 2^24 allocations exceed the cap, so both calls raise before enumerating;
+    # 2^20000 has 6021 digits, past Python's default int-to-str limit of 4300
+    for m, count in ((24, "16777216"), (20000, r"2\^20000")):
+        x = UtilityMatrix.from_weights([(1,) * m] * 2)
+        message = f"SearchSpaceTooLarge: {count} allocations exceed cap 10000000"
+        with pytest.raises(SearchSpaceTooLarge, match=message):
+            envy_free_optimal_exhaustive(x)
+        with pytest.raises(SearchSpaceTooLarge, match=message):
+            price_ratio(x)
 
 
 def test_no_envy_free_allocation():
@@ -483,6 +485,17 @@ def test_module_doctests_pass():
         result = doctest.testmod(module)
         assert result.attempted > 0, module.__name__
         assert result.failed == 0, module.__name__
+
+
+@pytest.mark.parametrize(
+    "module",
+    ["envyprice", "envyprice.bounds", "envyprice.core", "envyprice.oracle",
+     "envyprice.solver", "envyprice.structure"],
+)
+def test_every_public_name_resolves(module):
+    namespace = {}
+    exec(f"from {module} import *", namespace)
+    assert set(importlib.import_module(module).__all__) <= set(namespace)
 
 
 def test_readme_library_block_runs():
@@ -740,7 +753,7 @@ def test_constructors_agree(weights, factors):
 @settings(deadline=None, max_examples=60)
 @given(instances(max_n=3, square=False), st.integers(1, 2))
 def test_price_ratio_ignores_worthless_items(x, extra):
-    assert price_ratio(with_worthless_items(x, extra)) == price_ratio(x)
+    assert price_ratio(pad_zero_rows(x, extra)) == price_ratio(x)
 
 
 # --- instance files --------------------------------------------------------

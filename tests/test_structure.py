@@ -4,37 +4,24 @@ from fractions import Fraction
 import pytest
 
 from envyprice.core import (
-    DimensionMismatch,
     UtilityMatrix,
     allocation_welfare,
+    envy_free_optimal_exhaustive,
     envy_free_optimal_welfare,
     is_envy_free,
     optimal_welfare,
     price_ratio,
 )
-from envyprice.structure import (
-    AgentClass,
-    FullSupport,
-    InconsistentTau,
-    InvalidWitness,
-    NoEnvyFreeAllocation,
-    NonRealizable,
-    NotBig,
-    NotLeveled,
-    NotSmall,
-    build_witness_matrix,
-    canonicalize,
-    classify_agents,
-    extremize_offdiagonal,
-    level_big_agent,
-    reduce_to_square,
-    smooth_small_agent,
-    validate_assignment,
-)
+from envyprice.structure import InvalidWitness, NonRealizable, build_witness_matrix
 from util import (
+    block_average,
     check_smoothing_monotonicity,
+    keep_single_item_agents,
     random_canonical_leveled,
     random_columns,
+    relabel_by_matching,
+    two_boundary,
+    uniform_column,
 )
 
 F = Fraction
@@ -44,63 +31,45 @@ def mat(*cols):
     return UtilityMatrix.from_strings(cols)
 
 
-# --- assignment validation and classification -------------------------------
+# --- optimal assignments and big agents -------------------------------------
+
+def big_agents(x, tau):
+    """The agents that receive an item under tau, after checking that tau
+    is an optimal assignment of x."""
+    assert allocation_welfare(x, tau) == optimal_welfare(x)[0]
+    return sorted(set(tau))
+
 
 def test_classify_w3(w3):
-    labels = classify_agents(w3, (0, 0, 1))
-    assert labels == (AgentClass.BIG, AgentClass.BIG, AgentClass.SMALL)
+    assert big_agents(w3, (0, 0, 1)) == [0, 1]
 
 
 def test_classify_diagonal_all_big():
     x = mat(["1", "0", "0"], ["0", "1", "0"], ["0", "0", "1"])
-    assert set(classify_agents(x, (0, 1, 2))) == {AgentClass.BIG}
+    assert big_agents(x, (0, 1, 2)) == [0, 1, 2]
 
 
 def test_classify_uniform_single_big():
     x = mat(*[["1/3"] * 3] * 3)
-    labels = classify_agents(x, (0, 0, 0))
-    assert labels == (AgentClass.BIG, AgentClass.SMALL, AgentClass.SMALL)
-
-
-def test_inconsistent_tau(w3):
-    # item 1 is worth 1/3 to agent 3, below the row maximum 1/2
-    with pytest.raises(InconsistentTau) as exc:
-        validate_assignment(w3, (2, 0, 1))
-    assert str(exc.value) == "InconsistentTau(1, 3)"
-
-
-def test_tau_errors_come_in_item_order(w3):
-    # item 1 fails the row maximum before item 3's owner is range-checked
-    with pytest.raises(InconsistentTau) as exc:
-        validate_assignment(w3, (2, 0, 5))
-    assert (exc.value.item, exc.value.agent) == (1, 3)
-
-
-def test_tau_shape_errors(w3):
-    with pytest.raises(ValueError):
-        validate_assignment(w3, (0, 0))
-    with pytest.raises(ValueError):
-        validate_assignment(w3, (0, 0, 5))
+    assert big_agents(x, (0, 0, 0)) == [0]
 
 
 @pytest.mark.parametrize(
-    "owners, allocation_message, tau_message",
+    "owners, allocation_message",
     [
-        ((0, 0), "allocation covers 2 items, matrix has 3", "tau covers 2 items, matrix has 3"),
-        ((0, 0, 5), "allocation owner 5 out of range 0..2", "tau[2] = 5 out of range 0..2"),
-        ((0, 0, 1.0), "allocation owners must be ints", "tau entries must be ints"),
-        ((0, 0, True), "allocation owners must be ints", "tau entries must be ints"),
+        ((0, 0), "allocation covers 2 items, matrix has 3"),
+        ((0, 0, 5), "allocation owner 5 out of range 0..2"),
+        ((0, 0, 1.0), "allocation owners must be ints"),
+        ((0, 0, True), "allocation owners must be ints"),
     ],
     ids=["length", "range", "float", "bool"],
 )
-def test_allocation_and_tau_errors(w3, owners, allocation_message, tau_message):
+def test_allocation_and_tau_errors(w3, owners, allocation_message):
+    # an assignment tau is an allocation: the same checks apply to both
     for check in (allocation_welfare, is_envy_free):
         with pytest.raises(ValueError) as exc:
             check(w3, owners)
         assert str(exc.value) == allocation_message
-    with pytest.raises(ValueError) as exc:
-        validate_assignment(w3, owners)
-    assert str(exc.value) == tau_message
 
 
 # --- smoothing a small agent -------------------------------------------------
@@ -112,7 +81,8 @@ def smooth_case():
 
 
 def test_smooth_small_agent(smooth_case):
-    out = smooth_small_agent(smooth_case, (0, 0, 1), 2)
+    assert big_agents(smooth_case, (0, 0, 1)) == [0, 1]
+    out = uniform_column(smooth_case, 2)
     assert out.columns[2] == (F(1, 3), F(1, 3), F(1, 3))
     assert out.columns[:2] == smooth_case.columns[:2]
     # envy-free optimum drops by the column-max decrease, optimum unchanged
@@ -126,23 +96,17 @@ def test_smooth_small_agent(smooth_case):
 def test_smooth_creates_envy_free_allocation():
     x = mat(["1", "0"], ["1", "0"])
     assert envy_free_optimal_welfare(x) is None
-    out = smooth_small_agent(x, (0, 0), 1)
+    out = uniform_column(x, 1)
     assert out.columns[1] == (F(1, 2), F(1, 2))
     assert envy_free_optimal_welfare(out) == F(3, 2)
     assert optimal_welfare(out)[0] == F(3, 2)
 
 
-def test_smooth_rejects_big_agent(smooth_case):
-    with pytest.raises(NotSmall) as exc:
-        smooth_small_agent(smooth_case, (0, 0, 1), 0)
-    assert exc.value.agent == 1
-
-
 def test_smooth_fixed_point(smooth_case):
-    once = smooth_small_agent(smooth_case, (0, 0, 1), 2)
+    once = uniform_column(smooth_case, 2)
     tau = optimal_welfare(once)[1]
-    assert classify_agents(once, tau)[2] is AgentClass.SMALL
-    assert smooth_small_agent(once, tau, 2) == once
+    assert 2 not in tau
+    assert uniform_column(once, 2) == once
 
 
 # --- leveling a big agent ----------------------------------------------------
@@ -154,7 +118,8 @@ def level_case():
 
 
 def test_level_big_agent(level_case):
-    out = level_big_agent(level_case, (0, 0, 1), 0)
+    assert big_agents(level_case, (0, 0, 1)) == [0, 1]
+    out = block_average(level_case, (0, 0, 1), 0)
     assert out.columns[0] == (F(3, 8), F(3, 8), F(1, 4))
     assert out.columns[1:] == level_case.columns[1:]
     assert optimal_welfare(level_case)[0] == F(3, 2)
@@ -168,13 +133,7 @@ def test_level_big_agent(level_case):
 
 
 def test_level_single_item_block_unchanged(w3):
-    assert level_big_agent(w3, (0, 0, 1), 1) == w3
-
-
-def test_level_rejects_small_agent(level_case):
-    with pytest.raises(NotBig) as exc:
-        level_big_agent(level_case, (0, 0, 1), 2)
-    assert exc.value.agent == 3
+    assert block_average(w3, (0, 0, 1), 1) == w3
 
 
 def test_level_fixed_point_under_same_tau():
@@ -182,10 +141,11 @@ def test_level_fixed_point_under_same_tau():
     # the same block is a no-op
     x = mat(["1/2", "1/4", "1/4"], ["1/4", "1/4", "1/2"], ["1/4", "1/4", "1/2"])
     tau = (0, 0, 1)
-    once = level_big_agent(x, tau, 0)
+    assert big_agents(x, tau) == [0, 1]
+    once = block_average(x, tau, 0)
     assert once.columns[0] == (F(3, 8), F(3, 8), F(1, 4))
-    validate_assignment(once, tau)
-    assert level_big_agent(once, tau, 0) == once
+    assert big_agents(once, tau) == [0, 1]
+    assert block_average(once, tau, 0) == once
 
 
 # --- extremizing a leveled big column ---------------------------------------
@@ -194,7 +154,8 @@ def test_extremize_concentrates_when_f_drops(w3):
     # leveled interior instance; pushing mass onto the block recovers w3
     x = mat(["3/8", "3/8", "1/4"], ["1/3", "1/3", "1/3"], ["1/3", "1/3", "1/3"])
     assert price_ratio(x).ratio == F(26, 25)
-    out = extremize_offdiagonal(x, (0, 0, 1), 0)
+    assert big_agents(x, (0, 0, 1)) == [0, 1]
+    out = two_boundary(x, (0, 0, 1), 0)
     assert out == w3
     assert price_ratio(out).ratio == F(8, 7)
 
@@ -202,7 +163,8 @@ def test_extremize_concentrates_when_f_drops(w3):
 def test_extremize_goes_uniform_when_f_rises():
     x = mat(["1/2", "1/4", "1/4"], ["0", "1/2", "1/2"], ["1/3", "1/3", "1/3"])
     assert price_ratio(x).ratio == F(9, 8)
-    out = extremize_offdiagonal(x, (0, 1, 1), 0)
+    assert big_agents(x, (0, 1, 1)) == [0, 1]
+    out = two_boundary(x, (0, 1, 1), 0)
     assert out.columns[0] == (F(1, 3), F(1, 3), F(1, 3))
     assert price_ratio(out).ratio == F(8, 7)
 
@@ -211,53 +173,32 @@ def test_extremize_tie_keeps_support():
     # f is constant here (a = bk), so the tie rule picks the support boundary
     x = mat(["1/2", "1/4", "1/4"], ["0", "1/2", "1/2"], ["1/4", "1/4", "1/2"])
     assert price_ratio(x).ratio == F(1)
-    out = extremize_offdiagonal(x, (0, 1, 1), 0)
+    assert big_agents(x, (0, 1, 1)) == [0, 1]
+    out = two_boundary(x, (0, 1, 1), 0)
     assert out.columns[0] == (F(1), F(0), F(0))
     assert price_ratio(out).ratio == F(1)
 
 
 def test_extremize_fixed_point_at_support_boundary(w3):
-    assert extremize_offdiagonal(w3, (0, 0, 1), 0) == w3
+    assert two_boundary(w3, (0, 0, 1), 0) == w3
 
 
 def test_extremize_fixed_point_at_uniform_boundary():
     x = mat(["1/3", "1/3", "1/3"], ["0", "1/2", "1/2"], ["1/3", "1/3", "1/3"])
     tau = optimal_welfare(x)[1]
     assert tau == (0, 1, 1)
-    assert extremize_offdiagonal(x, tau, 0) == x
-
-
-def test_extremize_errors(w3):
-    with pytest.raises(NotBig):
-        extremize_offdiagonal(w3, (0, 0, 1), 2)
-    uniform = mat(*[["1/3"] * 3] * 3)
-    with pytest.raises(FullSupport):
-        extremize_offdiagonal(uniform, (0, 0, 0), 0)
-    # agent 2 is big through item 3 only: its own item is outside the block
-    with pytest.raises(NotLeveled):
-        extremize_offdiagonal(w3, (0, 0, 1), 1)
-    unleveled = mat(["1/2", "1/4", "1/4"], ["1/4", "1/4", "1/2"], ["1/4", "1/4", "1/2"])
-    with pytest.raises(NotLeveled):
-        extremize_offdiagonal(unleveled, (0, 0, 1), 0)
-    no_ef = mat(["1", "0", "0"], ["1", "0", "0"], ["0", "1/2", "1/2"])
-    with pytest.raises(NoEnvyFreeAllocation):
-        extremize_offdiagonal(no_ef, (0, 2, 2), 0)
+    assert two_boundary(x, tau, 0) == x
 
 
 # --- canonical relabeling ----------------------------------------------------
 
 def test_canonicalize_puts_column_maxima_on_diagonal(smooth_case):
-    out = canonicalize(smooth_case)
+    out = relabel_by_matching(smooth_case)
     for j in range(out.n):
         assert out.columns[j][j] == max(out.columns[j])
     assert is_envy_free(out, (0, 1, 2))
     before, after = price_ratio(smooth_case), price_ratio(out)
     assert (before.optimal, before.ratio) == (after.optimal, after.ratio)
-
-
-def test_canonicalize_requires_envy_free(level_case):
-    with pytest.raises(NoEnvyFreeAllocation):
-        canonicalize(level_case)
 
 
 def test_canonicalize_random_instances():
@@ -268,7 +209,7 @@ def test_canonicalize_random_instances():
         x = UtilityMatrix.from_columns(random_columns(rng, n, n))
         if envy_free_optimal_welfare(x) is None:
             continue
-        out = canonicalize(x)
+        out = relabel_by_matching(x)
         assert sorted(zip(*out.columns)) == sorted(zip(*x.columns))
         assert is_envy_free(out, tuple(range(n)))
         assert price_ratio(out) == price_ratio(x)
@@ -417,12 +358,12 @@ def test_random_witnesses_certify_their_ratio():
 # --- reduction to square instances ------------------------------------------
 
 def test_reduce_identity_on_single_item_optimum(w3):
-    assert reduce_to_square(w3) == w3
+    assert keep_single_item_agents(w3) == w3
 
 
 def test_reduce_two_agents_three_items(w3):
     x = mat(["1/2", "1/2", "0"], ["1/3", "1/3", "1/3"])
-    out = reduce_to_square(x)
+    out = keep_single_item_agents(x)
     assert out == w3  # agent 1 keeps its column, two uniform columns appear
     s_size = 1
     fair_x = F(7, 6)
@@ -433,18 +374,9 @@ def test_reduce_two_agents_three_items(w3):
 
 def test_reduce_uniform_empty_s():
     x = mat(*[["1/4"] * 4] * 2)
-    out = reduce_to_square(x)
+    out = keep_single_item_agents(x)
     assert out.n == out.m == 4
     assert all(col == (F(1, 4),) * 4 for col in out.columns)
-
-
-def test_reduce_errors():
-    tall = mat(["1/2", "1/2"], ["1/2", "1/2"], ["1/2", "1/2"])
-    with pytest.raises(DimensionMismatch):
-        reduce_to_square(tall)
-    no_ef = mat(["1", "0"], ["1", "0"])
-    with pytest.raises(NoEnvyFreeAllocation):
-        reduce_to_square(no_ef)
 
 
 def test_reduce_contracts_random():
@@ -454,14 +386,12 @@ def test_reduce_contracts_random():
         n = rng.randint(2, 3)
         m = rng.randint(n, n + 2)
         x = UtilityMatrix.from_columns(random_columns(rng, n, m))
-        from envyprice.core import envy_free_optimal_exhaustive
-
         found = envy_free_optimal_exhaustive(x)
         if found is None:
             continue
         fair_x, owners = found
         s_size = sum(1 for j in range(n) if owners.count(j) == 1)
-        out = reduce_to_square(x)
+        out = keep_single_item_agents(x)
         assert out.n == out.m == m
         fair_out = envy_free_optimal_welfare(out)
         assert fair_out is not None  # the reduced instance always admits one
@@ -470,7 +400,7 @@ def test_reduce_contracts_random():
         done += 1
 
 
-# --- ratio monotonicity of the whole toolkit --------------------------------
+# --- ratio monotonicity of every step --------------------------------
 
 def test_smoothing_never_decreases_ratio():
     # 500 envy-free instances per n, canonicalized, every applicable
@@ -506,7 +436,7 @@ def test_extremize_monotone_on_leveled_family():
             continue
         before = price_ratio(x)
         assert before.ratio is not None
-        out = extremize_offdiagonal(x, tau, 0)
+        out = two_boundary(x, tau, 0)
         after = price_ratio(out)
         assert after.ratio >= before.ratio
         # idempotence: a second application with a fresh assignment stays put
@@ -517,6 +447,6 @@ def test_extremize_monotone_on_leveled_family():
             and 0 < len(block2) < n
             and len({out.columns[0][i] for i in block2}) == 1
         ):
-            assert extremize_offdiagonal(out, tau2, 0) == out
+            assert two_boundary(out, tau2, 0) == out
         applied += 1
     assert applied >= 200

@@ -1,8 +1,14 @@
-"""Test-side oracles and instance generators.
+"""Test-side oracles, instance generators and the paper's normalization steps.
 
 The oracles here deliberately avoid the library's integer fast path and its
 matching shortcut: plain Fraction arithmetic over an explicit enumeration of
 all n^m allocations. Slow, but independent.
+
+The normalization steps reduce every worst case to columns that are uniform
+on their supports, which all three searches rest on. They are bare column
+transforms: callers pass a valid instance and an optimal assignment tau
+(item i goes to agent tau[i], a row maximum). An agent is big if it
+receives an item under tau, small otherwise.
 """
 
 from fractions import Fraction
@@ -11,16 +17,11 @@ from itertools import product
 from envyprice.core import (
     UtilityMatrix,
     allocation_welfare,
+    envy_free_matching,
+    envy_free_optimal_exhaustive,
+    envy_free_optimal_welfare,
     optimal_welfare,
     price_ratio,
-)
-from envyprice.structure import (
-    AgentClass,
-    canonicalize,
-    classify_agents,
-    extremize_offdiagonal,
-    level_big_agent,
-    smooth_small_agent,
 )
 
 
@@ -73,9 +74,95 @@ def brute_ef_optimum(cols):
     return best
 
 
+def _with_column(x, j, weights):
+    """x with column j replaced by integer weights, normalized by their total."""
+    return UtilityMatrix.from_weights(x.grid[:j] + (tuple(weights),) + x.grid[j + 1 :])
+
+
+def uniform_column(x, j):
+    """Smoothing: a small agent's column becomes uniform.
+
+    The welfare of tau is untouched (it never uses column j), so the optimum
+    cannot drop; agent j's column maximum falls to 1/m, so the envy-free
+    optimum cannot grow, and an envy-free matching survives because a
+    uniform column is compatible with every item. The ratio never decreases.
+    """
+    return _with_column(x, j, [1] * x.m)
+
+
+def block_average(x, tau, j):
+    """Leveling: a big agent's entries on its block T = tau^{-1}(j) each
+    become w/k, for the block total w and k = |T|.
+
+    tau keeps its welfare, so the optimum does not drop, and column j's
+    maximum does not grow, so the envy-free optimum does not grow when it
+    still exists. Leveling can destroy envy-free existence.
+    """
+    block = [i for i, g in enumerate(tau) if g == j]
+    w = sum(x.grid[j][i] for i in block)
+    # on the scale k * x.scale, entries off the block keep their value
+    weights = [v * len(block) for v in x.grid[j]]
+    for i in block:
+        weights[i] = w
+    return _with_column(x, j, weights)
+
+
+def two_boundary(x, tau, j):
+    """Extremizing: push a leveled big column to the better boundary.
+
+    x is in canonical position (the identity allocation is envy-free), j is
+    in its block T = tau^{-1}(j), |T| = k < n, and T is leveled at value v.
+    Column j then sits in the family "1/k - t on T, kt/(n-k) off T" for t
+    in [0, 1/k - 1/n], along which the ratio is f(t) = (a + k(1/k - t)) /
+    (b + 1/k - t) with a = u* - kv and b = u*_f - v. f is monotone, so its
+    maximum is at t = 0 (support exactly T) or t = 1/k - 1/n (uniform). Both
+    are compared exactly, ties toward t = 0.
+    """
+    block = [i for i, g in enumerate(tau) if g == j]
+    k, n = len(block), x.n
+    v = Fraction(x.grid[j][j], x.scale)
+    a = optimal_welfare(x)[0] - k * v
+    b = envy_free_optimal_welfare(x) - v
+    if (a + 1) / (b + Fraction(1, k)) >= (a + Fraction(k, n)) / (b + Fraction(1, n)):
+        return _with_column(x, j, [int(i in block) for i in range(n)])
+    return uniform_column(x, j)
+
+
+def relabel_by_matching(x):
+    """Canonical position: permute the items of an envy-free square x so
+    that agent j's matched item lands at position j. Then x[j][j] attains
+    agent j's column maximum; neither welfare changes."""
+    item_of = [0] * x.n
+    for item, agent in enumerate(envy_free_matching(x)):
+        item_of[agent] = item
+    return UtilityMatrix(tuple(tuple(col[i] for i in item_of) for col in x.grid), x.scale)
+
+
+def keep_single_item_agents(x):
+    """Reduction of an n-agent, m-item x (m >= n, envy-free) to m x m.
+
+    S is the set of agents holding exactly one item in the lexicographically
+    least optimal envy-free allocation. The output keeps S's columns in
+    agent order and fills up with m - |S| uniform columns. The new
+    envy-free optimum exceeds the old by at most (m - |S|)/m, and the old
+    optimum exceeds the new by at most n - |S|.
+    """
+    _, owners = envy_free_optimal_exhaustive(x)
+    keep = [j for j in range(x.n) if owners.count(j) == 1]
+    return UtilityMatrix.from_weights(
+        [x.grid[j] for j in keep] + [(1,) * x.m] * (x.m - len(keep))
+    )
+
+
+def pad_zero_rows(x, extra):
+    """Append `extra` items that everyone values at zero; no bundle's worth
+    changes, so neither does the price ratio."""
+    return UtilityMatrix(tuple(col + (0,) * extra for col in x.grid), x.scale)
+
+
 def check_smoothing_monotonicity(x):
-    """Apply every applicable structural operation to the canonicalized x and
-    assert the ratio guarantees. x must be square and admit an envy-free
+    """Apply every applicable normalization step to x in canonical position
+    and assert the ratio guarantees. x must be square and admit an envy-free
     allocation. Returns per-operation application counts.
 
     Leveling may destroy envy-free existence; when it does, the unconditional
@@ -84,21 +171,20 @@ def check_smoothing_monotonicity(x):
     """
     before = price_ratio(x)
     assert before.ratio is not None, "caller must filter to envy-free instances"
-    x0 = canonicalize(x)
+    x0 = relabel_by_matching(x)
     base_report = price_ratio(x0)
     assert base_report.ratio == before.ratio  # relabeling preserves both welfares
     base = base_report.ratio
     _, tau = optimal_welfare(x0)
-    labels = classify_agents(x0, tau)
     identity = tuple(range(x0.n))
     counts = {"smooth": 0, "level": 0, "level_lost_ef": 0, "extremize": 0}
     for j in range(x0.n):
-        if labels[j] is AgentClass.SMALL:
-            x1 = smooth_small_agent(x0, tau, j)
+        if j not in tau:
+            x1 = uniform_column(x0, j)
             assert price_ratio(x1).ratio >= base
             counts["smooth"] += 1
             continue
-        x1 = level_big_agent(x0, tau, j)
+        x1 = block_average(x0, tau, j)
         opt1, _ = optimal_welfare(x1)
         assert opt1 >= base_report.optimal
         diag1 = allocation_welfare(x1, identity)
@@ -111,9 +197,9 @@ def check_smoothing_monotonicity(x):
             assert after.ratio >= base
         counts["level"] += 1
         block = [i for i in range(x0.n) if tau[i] == j]
-        leveled = len({x0.columns[j][i] for i in block}) == 1
+        leveled = len({x0.grid[j][i] for i in block}) == 1
         if j in block and len(block) < x0.n and leveled:
-            x2 = extremize_offdiagonal(x0, tau, j)
+            x2 = two_boundary(x0, tau, j)
             assert price_ratio(x2).ratio >= base
             counts["extremize"] += 1
     return counts
