@@ -22,7 +22,7 @@ from __future__ import annotations
 import json
 import math
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from itertools import chain
@@ -227,7 +227,8 @@ class UtilityMatrix:
     to the least common denominator, so equal matrices have equal fields. The
     hot loops run on these integers; ``columns``, the Fraction view, is built
     on first read. A column object that several agents share is checked,
-    scaled and reduced once, and ``grid`` repeats the resulting tuple.
+    scaled and reduced once, and ``grid`` repeats the resulting tuple; the
+    welfare, the matching and ``columns`` then handle it once as well.
 
     >>> x = UtilityMatrix.from_weights([[2, 2, 0], [1, 1, 1]])
     >>> x.grid, x.scale, x.entry(0, 0)
@@ -236,6 +237,9 @@ class UtilityMatrix:
 
     grid: tuple[tuple[int, ...], ...]
     scale: int
+    # the distinct column objects of grid (see `_distinct`), found while
+    # building it, so that later passes find sharing at no cost
+    _distinct_columns: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         (grid, distinct), scale = _int_columns(self.grid), self.scale
@@ -257,15 +261,19 @@ class UtilityMatrix:
             common = math.gcd(common, *col)
         if common > 1:
             grid = _spread(grid, distinct, [tuple([v // common for v in col]) for col in distinct])
+            distinct = _distinct(grid)
             scale //= common
         object.__setattr__(self, "grid", grid)
         object.__setattr__(self, "scale", scale)
+        object.__setattr__(self, "_distinct_columns", distinct)
 
     @cached_property
     def columns(self) -> tuple[tuple[Fraction, ...], ...]:
-        """The matrix as Fractions: ``columns[j][i] = grid[j][i] / scale``."""
-        value = {v: Fraction(v, self.scale) for v in set(chain.from_iterable(self.grid))}
-        return tuple(tuple(map(value.__getitem__, col)) for col in self.grid)
+        """The matrix as Fractions: ``columns[j][i] = grid[j][i] / scale``.
+        Agents sharing a column object in ``grid`` share its Fraction tuple."""
+        grid, distinct = self.grid, self._distinct_columns
+        value = {v: Fraction(v, self.scale) for v in set(chain.from_iterable(distinct))}
+        return _spread(grid, distinct, [tuple(list(map(value.__getitem__, col))) for col in distinct])
 
     @property
     def n(self) -> int:
@@ -290,8 +298,7 @@ class UtilityMatrix:
         denominators = {v.denominator for col in cols for v in col}
         scale = math.lcm(*denominators)
         factor = {d: scale // d for d in denominators}
-        grid = tuple(tuple(v.numerator * factor[v.denominator] for v in col) for col in cols)
-        return cls(grid, scale)
+        return cls([tuple([v.numerator * factor[v.denominator] for v in col]) for col in cols], scale)
 
     @classmethod
     def from_weights(cls, weights: Sequence[Sequence[int]]) -> "UtilityMatrix":
@@ -318,26 +325,38 @@ def _exact(v: Any, item: int, agent: int) -> Fraction:
     return parse_rational(v)
 
 
+# The tuples of a matrix are built from lists of their exact length: CPython
+# builds a tuple from an iterator of unknown length by resizing it, and the
+# resized tuples, once freed, pile up in its free lists for small sizes.
+
 def _int_columns(columns: Sequence[Sequence[int]]) -> tuple[tuple, tuple]:
     """The columns as tuples, once they form a nonempty rectangle of ints, and
-    the distinct column objects among them: ``cols`` itself when none is shared."""
-    cols = tuple(map(tuple, columns))  # keeps a tuple as is, so a shared one stays shared
+    the distinct column objects among them (see `_distinct`)."""
+    cols = tuple(list(map(tuple, columns)))  # keeps a tuple as is, so a shared one stays shared
     if not cols or not cols[0]:
         raise ValueError("utility matrix needs at least one agent and one item")
     if len(set(map(len, cols))) != 1:
         raise ValueError("all agent columns must have the same length")
-    shared = len(set(map(id, cols))) < len(cols)
-    distinct = tuple({id(col): col for col in cols}.values()) if shared else cols
+    distinct = _distinct(cols)
     if not _all_ints(chain.from_iterable(distinct)):
         raise ValueError("utility matrix entries must be integers")
     return cols, distinct
 
 
-def _spread(cols: tuple, distinct: tuple, new: list) -> tuple:
-    """cols with each column replaced by the ``new`` entry at its place in ``distinct``."""
+def _distinct(cols: Sequence) -> Sequence:
+    """The distinct objects in cols, in order of their first place: ``cols``
+    itself when none is shared, which callers test with ``is``."""
+    if len(set(map(id, cols))) == len(cols):
+        return cols
+    return tuple(dict(zip(map(id, cols), cols)).values())
+
+
+def _spread(cols: Sequence, distinct: Sequence, new: list) -> tuple:
+    """cols with each object replaced by the ``new`` entry at its place in
+    ``distinct``: agents sharing a column share its entry."""
     if distinct is cols:
         return tuple(new)
-    return tuple(map(dict(zip(map(id, distinct), new)).__getitem__, map(id, cols)))
+    return tuple(list(map(dict(zip(map(id, distinct), new)).__getitem__, map(id, cols))))
 
 
 def _check_allocation(x: UtilityMatrix, allocation: Sequence[int]) -> None:
@@ -362,11 +381,19 @@ def optimal_welfare(x: UtilityMatrix) -> tuple[Fraction, Allocation]:
 
     Each item independently goes to an agent valuing it most; ties break
     toward the lowest agent index, so the witness is unique and deterministic.
+    The maxima are taken over the distinct column objects only.
     """
-    rows = list(zip(*x.grid))
+    grid, distinct = x.grid, x._distinct_columns
+    rows = list(zip(*distinct))
     best = list(map(max, rows))
-    # tuple.index finds the first agent attaining the maximum
-    return Fraction(sum(best), x.scale), tuple(map(tuple.index, rows, best))
+    # tuple.index finds the first distinct column attaining the maximum; they
+    # are in order of their first agent, so that agent is the lowest one
+    owners = list(map(tuple.index, rows, best))
+    if distinct is not grid:
+        lowest = dict(zip(map(id, reversed(grid)), range(len(grid) - 1, -1, -1)))
+        first = [lowest[id(col)] for col in distinct]
+        owners = list(map(first.__getitem__, owners))
+    return Fraction(sum(best), x.scale), tuple(owners)
 
 
 def is_envy_free(x: UtilityMatrix, allocation: Sequence[int]) -> bool:
@@ -384,26 +411,43 @@ def is_envy_free(x: UtilityMatrix, allocation: Sequence[int]) -> bool:
     return True
 
 
-def _compat_adjacency(x: UtilityMatrix) -> list[list[int]]:
-    """Per agent, the items attaining that agent's column maximum."""
-    adj = []
-    for col in x.grid:
+def _compat_adjacency(x: UtilityMatrix) -> tuple[list[list[int]], Sequence[list[int]]]:
+    """The items attaining a column's maximum: one list per distinct column
+    object, and per agent, where agents sharing an object share its list."""
+    grid, distinct = x.grid, x._distinct_columns
+    lists = []
+    for col in distinct:
         best = max(col)
         ties = col.count(best)
         if ties == 1:
-            adj.append([col.index(best)])
+            lists.append([col.index(best)])
         elif ties == len(col):
-            adj.append(list(range(ties)))
+            lists.append(list(range(ties)))
         else:
-            adj.append([i for i, v in enumerate(col) if v == best])
-    return adj
+            lists.append([i for i, v in enumerate(col) if v == best])
+    return lists, lists if distinct is grid else _spread(grid, distinct, lists)
 
 
-def _hopcroft_karp(adj: list[list[int]], n_right: int) -> list[int]:
+def _hopcroft_karp(adj: Sequence[list[int]], n_right: int) -> list[int]:
     """Maximum bipartite matching; returns right-mate per left vertex (-1 if none).
 
     Deterministic: vertices and adjacency are scanned in index order and no
     sets are used, so identical inputs give identical matchings.
+
+    The first phase is a greedy pass: each left vertex, in order, takes the
+    first free item in its list. It is exactly the first BFS and DFS phase,
+    which starts with every vertex free. That BFS gives every vertex
+    distance 0 and sets no other, since it meets no matched item. The DFS
+    from each root then steps only to a matched item's mate at distance 1,
+    which none has, so it takes the first free item in the root's list, or
+    fails and sets the root's distance to INF. The next BFS resets every
+    distance, so the later phases and the matching returned do not change.
+    Vertices that share one list object (agents holding one column object)
+    share one iterator over it as a cursor. During the pass an item, once
+    taken, stays taken, so the free part of a list only shrinks and the
+    items a cursor has passed need no second look. A list held by many
+    vertices then costs its length plus one step per vertex, not its length
+    per vertex.
     """
     n_left = len(adj)
     INF = n_left + n_right + 1
@@ -411,6 +455,16 @@ def _hopcroft_karp(adj: list[list[int]], n_right: int) -> list[int]:
     match_r = [-1] * n_right
     dist = [0] * n_left
     edges: list = [None] * n_left  # adjacency iterators of the path vertices
+
+    shared = _distinct(adj) is not adj
+    if shared:  # one iterator per list object: its cursor
+        iters = dict(zip(map(id, adj), map(iter, adj)))
+    for u, items in enumerate(adj):
+        for v in iters[id(items)] if shared else items:
+            if match_r[v] == -1:
+                match_r[v] = u
+                match_l[u] = v
+                break
 
     def bfs() -> bool:
         queue = []
@@ -483,11 +537,11 @@ def envy_free_matching(x: UtilityMatrix) -> Optional[Allocation]:
     n = x.n
     if x.m != n:
         raise DimensionMismatch(x.m, n, "a square instance (m = n)")
-    adj = _compat_adjacency(x)
-    if max(map(len, adj)) < n and len(set(chain.from_iterable(adj))) < n:
+    lists, adj = _compat_adjacency(x)
+    if max(map(len, lists)) < n and len(set(chain.from_iterable(lists))) < n:
         return None
     match_l = _hopcroft_karp(adj, n)
-    if any(v == -1 for v in match_l):
+    if -1 in match_l:
         return None
     owners = [-1] * x.m
     for agent, item in enumerate(match_l):
@@ -500,11 +554,13 @@ def envy_free_optimal_welfare(x: UtilityMatrix) -> Optional[Fraction]:
 
     All envy-free allocations of a square instance have the same welfare,
     the sum of the column maxima, because every agent receives an item it
-    values at exactly its column maximum.
+    values at exactly its column maximum. A shared column's maximum is
+    taken once and counted once per agent holding it.
     """
     if envy_free_matching(x) is None:
         return None
-    return Fraction(sum(map(max, x.grid)), x.scale)
+    grid, distinct = x.grid, x._distinct_columns
+    return Fraction(sum(_spread(grid, distinct, list(map(max, distinct)))), x.scale)
 
 
 def envy_free_optimal_exhaustive(x: UtilityMatrix) -> Optional[tuple[Fraction, Allocation]]:
@@ -641,11 +697,11 @@ def instance_from_dict(payload: dict) -> UtilityMatrix:
 
 
 def instance_to_dict(x: UtilityMatrix) -> dict:
-    return {
-        "n": x.n,
-        "m": x.m,
-        "columns": [[format_rational(v) for v in col] for col in x.columns],
-    }
+    columns = x.columns
+    distinct = _distinct(columns)
+    text = _spread(columns, distinct, [[format_rational(v) for v in col] for col in distinct])
+    # one list per column, so that editing one agent's column edits no other
+    return {"n": x.n, "m": x.m, "columns": list(map(list, text))}
 
 
 def read_instance(path: str) -> UtilityMatrix:

@@ -2,9 +2,12 @@ import doctest
 import importlib
 import json
 import math
+import platform
 import random
 import re
+import sys
 import time
+from collections import Counter
 from decimal import Decimal
 from fractions import Fraction
 from itertools import permutations, product
@@ -26,6 +29,7 @@ from envyprice.core import (
     UtilityMatrix,
     WelfareReport,
     allocation_welfare,
+    construction_ratio,
     envy_free_matching,
     envy_free_optimal_exhaustive,
     envy_free_optimal_welfare,
@@ -48,6 +52,9 @@ from util import (
     brute_optimum,
     pad_zero_rows,
     random_columns,
+    reference_envy_free_welfare,
+    reference_matching,
+    reference_optimal_welfare,
 )
 
 
@@ -302,6 +309,13 @@ def test_shared_witness_columns_build_the_matrix_of_per_agent_lists():
         assert _distinct_objects(x) == len(set(x.grid)), n
         assert price_ratio(x) == price_ratio(y), n
         assert price_ratio(x).ratio == w.ratio, n
+        # the Fraction view shares a tuple where grid does
+        assert x.columns == y.columns, n
+        assert len(set(map(id, x.columns))) == _distinct_objects(x), n
+        if n <= 40:
+            written = instance_to_dict(x)
+            assert written == instance_to_dict(y), n
+            assert len(set(map(id, written["columns"]))) == n, n
 
 
 @settings(deadline=None, max_examples=150)
@@ -374,6 +388,91 @@ def test_shared_columns_build_at_n_3000_within_budget():
         assert (x.n, x.m) == (n, n)
         assert set(map(sum, x.grid)) == {x.scale}
         assert _distinct_objects(x) == len(set(x.grid)) < 60
+
+
+# 1.1-1.2 s measured for lower_construction(20 000) and its certification,
+# and 0.14-0.15 s for certifying the n = 5 000 witness, on a 2-core x86 box
+# (Python 3.11.7); walking every agent's column took 1.5 s for one
+# certification at n = 3 000 and 4.9 s at n = 5 000
+CONSTRUCTION_20000_BUDGET_S = 8.0
+WITNESS_5000_BUDGET_S = 1.5
+
+
+def _square_outputs(x):
+    return optimal_welfare(x), envy_free_matching(x), envy_free_optimal_welfare(x), price_ratio(x)
+
+
+def _reference_outputs(x):
+    opt = reference_optimal_welfare(x)
+    fair = reference_envy_free_welfare(x)
+    report = WelfareReport(opt[0], fair, None if fair is None else opt[0] / fair)
+    return opt, reference_matching(x), fair, report
+
+
+def _random_shared_square(rng, n):
+    """n agents holding columns drawn from a pool of shared tuple objects
+    whose maxima tie often, in no particular agent order."""
+    pool = list(map(tuple, _tied_columns(rng, n)))[: rng.randint(1, n)]
+    return UtilityMatrix.from_weights([rng.choice(pool) for _ in range(n)])
+
+
+def test_shared_columns_give_the_reference_outputs():
+    # the square path handles each column object once and matches greedily
+    # first; welfare, matching and report must be the reference's exactly
+    for n in range(1, 301):
+        x = lower_construction(n)
+        assert _square_outputs(x) == _reference_outputs(x), n
+    for n in range(1, 101):
+        w = solve_p_nn(n)
+        x = build_witness_matrix(w.s, w.r, n)
+        assert _square_outputs(x) == _reference_outputs(x), n
+    rng = random.Random("core:shared:0")
+    found = Counter()
+    for _ in range(2500):
+        x = _random_shared_square(rng, rng.randint(1, 12))
+        got = _square_outputs(x)
+        assert got == _reference_outputs(x)
+        found[_distinct_objects(x) < x.n, got[1] is not None] += 1
+    # shared objects both with and without an envy-free matching
+    assert found[True, True] > 400 and found[True, False] > 400
+
+
+def test_shared_columns_certify_at_n_20000_within_budget():
+    n = 20_000
+    t0 = time.perf_counter()
+    assert price_ratio(lower_construction(n)).ratio == construction_ratio(n)
+    elapsed = time.perf_counter() - t0
+    assert elapsed < CONSTRUCTION_20000_BUDGET_S, f"{elapsed:.3f}s"
+    n = 5000
+    w = solve_p_nn(n)
+    t0 = time.perf_counter()
+    assert price_ratio(build_witness_matrix(w.s, w.r, n)).ratio == w.ratio
+    elapsed = time.perf_counter() - t0
+    assert elapsed < WITNESS_5000_BUDGET_S, f"{elapsed:.3f}s"
+
+
+# Growth of the interpreter's allocated blocks over 550 rounds of the loop
+# below, after 50 rounds to warm up: under 1 000 measured, where building
+# tuples of unknown length grew it by about 32 000
+RATCHET_BLOCKS = 5000
+
+
+@pytest.mark.skipif(platform.python_implementation() != "CPython",
+                    reason="measures CPython's tuple free lists")
+def test_certifying_small_witnesses_does_not_grow_memory():
+    # a tuple built by resizing and then freed stays in CPython's free list
+    # for its size, so a long run of small certifications would keep growing
+    witnesses = [(n, solve_p_nn(n)) for n in range(1, 31)]
+
+    def rounds(count):
+        for _ in range(count):
+            for n, w in witnesses:
+                price_ratio(build_witness_matrix(w.s, w.r, n))
+
+    rounds(50)
+    before = sys.getallocatedblocks()
+    rounds(550)
+    assert sys.getallocatedblocks() - before < RATCHET_BLOCKS
 
 
 def test_hot_paths_never_build_the_fraction_view():
@@ -579,17 +678,26 @@ def test_optimal_welfare_breaks_ties_toward_the_lowest_agent():
     # item 1 ties agents 2 and 3, item 2 ties everyone, item 4 has agent 3 alone
     x = UtilityMatrix.from_weights([[0, 1, 2, 1], [1, 1, 1, 1], [1, 1, 0, 2]])
     assert optimal_welfare(x) == (Fraction(3, 2), (1, 0, 0, 2))
+    # agents 1 and 3 share the object a, which ties b on item 1; c, the third
+    # distinct object, is agent 4's and alone on item 3
+    a, b, c = (1, 1, 0), (1, 0, 1), (0, 1, 3)
+    x = UtilityMatrix.from_weights([a, b, a, c])
+    assert x.grid[0] is x.grid[2]
+    assert optimal_welfare(x) == (Fraction(7, 4), (0, 0, 3))
     rng = random.Random("core:owners:0")
-    for _ in range(300):
-        n, m = rng.randint(1, 5), rng.randint(1, 5)
-        x = UtilityMatrix.from_weights(
-            [[rng.choice([0, 1, 1]) for _ in range(m - 1)] + [1] for _ in range(n)]
-        )
-        owners = tuple(
-            min(range(n), key=lambda j: (-x.grid[j][i], j)) for i in range(m)
-        )
-        total = sum(x.grid[j][i] for i, j in enumerate(owners))
-        assert optimal_welfare(x) == (Fraction(total, x.scale), owners)
+    for shared in (False, True):
+        for _ in range(300):
+            n, m = rng.randint(1, 5), rng.randint(1, 5)
+            cols = [[rng.choice([0, 1, 1]) for _ in range(m - 1)] + [1] for _ in range(n)]
+            if shared:  # agents draw from a pool of tuple objects, in any order
+                pool = list(map(tuple, cols))[: rng.randint(1, 3)]
+                cols = [rng.choice(pool) for _ in range(n)]
+            x = UtilityMatrix.from_weights(cols)
+            owners = tuple(
+                min(range(n), key=lambda j: (-x.grid[j][i], j)) for i in range(m)
+            )
+            total = sum(x.grid[j][i] for i, j in enumerate(owners))
+            assert optimal_welfare(x) == (Fraction(total, x.scale), owners)
 
 
 def test_all_envy_free_bijections_share_welfare():

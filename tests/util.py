@@ -4,6 +4,11 @@ The oracles here deliberately avoid the library's integer fast path and its
 matching shortcut: plain Fraction arithmetic over an explicit enumeration of
 all n^m allocations. Slow, but independent.
 
+The reference square path walks every agent's column and opens the matching
+with a plain breadth-first phase, as the library did before it handled a
+column object shared by several agents once and began with a greedy phase;
+the library must return exactly its outputs.
+
 The normalization steps reduce every worst case to columns that are uniform
 on their supports, which all three searches rest on. They are bare column
 transforms: callers pass a valid instance and an optimal assignment tau
@@ -12,7 +17,7 @@ receives an item under tau, small otherwise.
 """
 
 from fractions import Fraction
-from itertools import product
+from itertools import chain, product
 
 from envyprice.core import (
     UtilityMatrix,
@@ -249,3 +254,113 @@ def random_canonical_leveled(rng, n):
             col = [Fraction(1, n)] * n
         cols.append(tuple(col))
     return UtilityMatrix.from_columns(tuple(cols)), block
+
+
+# --- reference square path: every agent's column, no greedy phase ---------------
+
+def reference_optimal_welfare(x):
+    rows = list(zip(*x.grid))
+    best = list(map(max, rows))
+    # tuple.index finds the first agent attaining the maximum
+    return Fraction(sum(best), x.scale), tuple(map(tuple.index, rows, best))
+
+
+def reference_envy_free_welfare(x):
+    if reference_matching(x) is None:
+        return None
+    return Fraction(sum(map(max, x.grid)), x.scale)
+
+
+def reference_matching(x):
+    n = x.n
+    adj = _compat_adjacency(x)
+    if max(map(len, adj)) < n and len(set(chain.from_iterable(adj))) < n:
+        return None
+    match_l = _hopcroft_karp(adj, n)
+    if any(v == -1 for v in match_l):
+        return None
+    owners = [-1] * x.m
+    for agent, item in enumerate(match_l):
+        owners[item] = agent
+    return tuple(owners)
+
+
+def _compat_adjacency(x: UtilityMatrix) -> list[list[int]]:
+    """Per agent, the items attaining that agent's column maximum."""
+    adj = []
+    for col in x.grid:
+        best = max(col)
+        ties = col.count(best)
+        if ties == 1:
+            adj.append([col.index(best)])
+        elif ties == len(col):
+            adj.append(list(range(ties)))
+        else:
+            adj.append([i for i, v in enumerate(col) if v == best])
+    return adj
+
+
+def _hopcroft_karp(adj: list[list[int]], n_right: int) -> list[int]:
+    """Maximum bipartite matching; returns right-mate per left vertex (-1 if none).
+
+    Deterministic: vertices and adjacency are scanned in index order and no
+    sets are used, so identical inputs give identical matchings.
+    """
+    n_left = len(adj)
+    INF = n_left + n_right + 1
+    match_l = [-1] * n_left
+    match_r = [-1] * n_right
+    dist = [0] * n_left
+    edges: list = [None] * n_left  # adjacency iterators of the path vertices
+
+    def bfs() -> bool:
+        queue = []
+        for u in range(n_left):
+            if match_l[u] == -1:
+                dist[u] = 0
+                queue.append(u)
+            else:
+                dist[u] = INF
+        found = False
+        head = 0
+        while head < len(queue):
+            u = queue[head]
+            head += 1
+            for v in adj[u]:
+                w = match_r[v]
+                if w == -1:
+                    found = True
+                elif dist[w] == INF:
+                    dist[w] = dist[u] + 1
+                    queue.append(w)
+        return found
+
+    while bfs():
+        for root in range(n_left):
+            if match_l[root] != -1:
+                continue
+            # Depth-first search for an augmenting path with an explicit
+            # stack, so its length is not bounded by the recursion limit.
+            # Each vertex on the path resumes its own adjacency iterator,
+            # which keeps the scan order of the recursive form.
+            path = [root]
+            edges[root] = iter(adj[root])
+            while path:
+                u = path[-1]
+                step = dist[u] + 1
+                for v in edges[u]:
+                    w = match_r[v]
+                    if w == -1:
+                        while path:  # flip the path's edges, emptying it
+                            left = path.pop()
+                            match_r[v] = left
+                            match_l[left], v = v, match_l[left]
+                        break
+                    if dist[w] == step:
+                        path.append(w)
+                        edges[w] = iter(adj[w])
+                        break
+                else:
+                    dist[u] = INF
+                    path.pop()
+    return match_l
