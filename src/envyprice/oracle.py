@@ -230,11 +230,39 @@ def realize_config(cfg: VertexConfig, n: int) -> UtilityMatrix:
     return UtilityMatrix.from_weights(columns)
 
 
+# randrange(17) takes the top 5 bits of one 32-bit word and draws again while
+# they are >= 17; in getrandbits(32 * k) word i fills bits 32i .. 32i + 31, so
+# its top 5 bits are the top 5 bits of byte 4i + 3 of the little-endian bytes
+_TOP5 = bytes(b >> 3 for b in range(256))
+_OVER16 = bytes(range(17 << 3, 256))  # top bytes whose top 5 bits are >= 17
+
+
+def _randrange17_block(getrandbits, words: int) -> bytes:
+    """The randrange(17) values that `words` 32-bit words of a Random's
+    stream give, in order: concatenated blocks are its randrange(17) stream."""
+    raw = getrandbits(32 * words).to_bytes(4 * words, "little")
+    return raw[3::4].translate(_TOP5, delete=_OVER16)
+
+
+def _max_cover(cols: list[bytes]) -> int:
+    """Bitmask of the items at which some column attains its maximum, every
+    such item on ties."""
+    covered = 0
+    for col in cols:
+        top = max(col)
+        i = col.index(top)
+        while i >= 0:
+            covered |= 1 << i
+            i = col.find(top, i + 1)
+    return covered
+
+
 def fuzz_instances(n: int, count: int, seed: int) -> Iterator[UtilityMatrix]:
     """Deterministic stream of valid m = n matrices admitting envy-free
     allocations: integer weights in 0..16 normalized per column, rejection
     sampling against an aggregate budget of _ATTEMPTS * count draws shared
-    by the whole stream.
+    by the whole stream. Every raw draw counts against the budget, rejected
+    before a matrix is built or not.
 
     The fraction of draws admitting an envy-free matching shrinks with n
     (unique column maxima alone give roughly n!/n^n), so a fixed cap per
@@ -242,6 +270,22 @@ def fuzz_instances(n: int, count: int, seed: int) -> Iterator[UtilityMatrix]:
     needs far fewer than 100 draws per emitted instance on average.
     Instance idx always draws from Random(f"fuzz:{seed}:{idx}"), so the
     emitted matrices do not depend on the budget.
+
+    A draw takes n columns of n weights, each weight rng.randrange(17), and
+    stops early at its first all-zero column, which rejects it. Before any
+    matrix is built, a draw is rejected when fewer than n items attain some
+    column's maximum: Hall's condition on the set of all agents then fails,
+    the check `envy_free_matching` makes first. Normalizing scales each
+    column by a positive factor, which keeps its argmax, so the check on raw
+    weights is exact; a draw that passes still goes through `from_weights`
+    and `envy_free_matching`.
+
+    The weights are drawn a block of 2 n^2 words at a time
+    (`_randrange17_block`): randrange(17) is getrandbits(5), the top 5 bits
+    of one 32-bit word, drawn again while >= 17, and getrandbits(32 * k)
+    returns k words with the first in the lowest bits. So the values are
+    those of successive randrange(17) calls. Each instance's generator is
+    discarded after its accepted draw, so reading past it changes nothing.
     """
     _check_n(n)
     if not _is_int(count):
@@ -252,28 +296,27 @@ def fuzz_instances(n: int, count: int, seed: int) -> Iterator[UtilityMatrix]:
         raise ValueError(f"seed must be an int, got {seed!r}")
     budget = _ATTEMPTS * count
     used = 0
+    need = n * n
+    every_item = (1 << n) - 1
+    zero = bytes(n)
     for idx in range(count):
         getrandbits = random.Random(f"fuzz:{seed}:{idx}").getrandbits
+        buf, pos = b"", 0
         while True:
             if used >= budget:
                 raise RejectionCapExceeded(idx, budget)
             used += 1
-            cols = []
-            for _ in range(n):
-                weights = []
-                for _ in range(n):
-                    # rng.randrange(17), inlined: the same rejection loop
-                    # over 5 random bits, so the same stream
-                    v = getrandbits(5)
-                    while v >= 17:
-                        v = getrandbits(5)
-                    weights.append(v)
-                if not any(weights):
-                    break
-                cols.append(weights)
-            if len(cols) < n:
+            while len(buf) - pos < need:
+                buf = buf[pos:] + _randrange17_block(getrandbits, 2 * need)
+                pos = 0
+            cols = [buf[i : i + n] for i in range(pos, pos + need, n)]
+            if zero in cols:
+                pos += (cols.index(zero) + 1) * n  # the draw ends at its first zero column
                 continue
-            x = UtilityMatrix.from_weights(cols)
+            pos += need
+            if _max_cover(cols) != every_item:
+                continue
+            x = UtilityMatrix.from_weights(list(map(list, cols)))
             if envy_free_matching(x) is not None:
                 yield x
                 break

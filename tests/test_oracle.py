@@ -3,24 +3,27 @@ import hashlib
 import random
 import time
 from fractions import Fraction
-from itertools import combinations_with_replacement
+from itertools import chain, combinations_with_replacement, cycle
 from pathlib import Path
 
 import pytest
 
 import envyprice.oracle
-from envyprice.core import envy_free_matching, price_ratio
+from envyprice.core import ColumnNotNormalized, UtilityMatrix, envy_free_matching, price_ratio
 from envyprice.oracle import (
     LayoutInfeasible,
     RejectionCapExceeded,
     VertexConfig,
+    _max_cover,
     _oracle_dp,
+    _randrange17_block,
     fuzz_instances,
     oracle_p_nn,
     realize_config,
 )
 from envyprice.solver import KNOWN_RATIOS, solve_p_nn
 from envyprice.structure import build_witness_matrix
+from util import _compat_adjacency, reference_fuzz_instances
 
 F = Fraction
 
@@ -343,18 +346,84 @@ def test_fuzz_budget_does_not_change_stream():
 
 
 def test_fuzz_draw_equals_randrange_17():
-    # fuzz_instances draws rng.randrange(17) inline, as 5 random bits
-    # drawn again while >= 17; that must leave the same values and state
+    # fuzz_instances draws randrange(17) a block of words at a time; the
+    # blocks, concatenated, must give the same values in the same order. The
+    # generator's state is not compared: a block reads past the last value a
+    # draw uses, and each instance's generator is discarded after its draw.
     for seed in ("fuzz:0:0", "fuzz:3:41", 7, 2**70 + 1):
         ref, rng = random.Random(seed), random.Random(seed)
-        drawn = []
-        for _ in range(20000):
-            v = rng.getrandbits(5)
-            while v >= 17:
-                v = rng.getrandbits(5)
-            drawn.append(v)
-        assert drawn == [ref.randrange(17) for _ in range(20000)]
-        assert rng.getstate() == ref.getstate()
+        drawn = b""
+        for words in cycle([2 * n * n for n in range(1, 9)]):  # the fuzzer's block sizes
+            if len(drawn) >= 40000:
+                break
+            drawn += _randrange17_block(rng.getrandbits, words)
+        assert list(drawn[:40000]) == [ref.randrange(17) for _ in range(40000)]
+
+
+def _emitted(fuzz, n, count, seed):
+    """The emitted (grid, scale) pairs, and the instance and budget at which
+    the stream ran out of draws, or None."""
+    out = []
+    try:
+        for x in fuzz(n, count, seed):
+            out.append((x.grid, x.scale))
+    except RejectionCapExceeded as err:
+        return out, (err.instance, err.budget)
+    return out, None
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_fuzz_stream_equals_the_reference(n):
+    # the reference draws one weight per call and builds a matrix for every
+    # draw; at n = 1 and 2 a block of 2 n^2 words often holds fewer than n^2
+    # values, so the buffer refills more than once before a draw
+    for seed in (0, 1, 4, 13):
+        assert _emitted(fuzz_instances, n, 12, seed) == _emitted(reference_fuzz_instances, n, 12, seed)
+
+
+def test_fuzz_stream_equals_the_reference_at_n_300():
+    # one draw of 90 000 weights, from a block of 180 000 words
+    assert _emitted(fuzz_instances, 300, 1, 0) == _emitted(reference_fuzz_instances, 300, 1, 0)
+
+
+@pytest.mark.parametrize("args, where", [((8, 10, 1), (8, 1000)), ((9, 3, 0), (2, 300))])
+def test_fuzz_runs_out_where_the_reference_does(args, where):
+    # draws rejected on their raw weights count against the budget too
+    ref = _emitted(reference_fuzz_instances, *args)
+    assert ref[1] == where
+    assert _emitted(fuzz_instances, *args) == ref
+
+
+def test_fuzz_precheck_rejects_only_grids_without_an_envy_free_matching():
+    # seeded weight grids with forced ties at the column maximum and some
+    # all-zero columns; the raw-weight check must be the Hall check that
+    # envy_free_matching makes on the normalized matrix
+    rng = random.Random(24)
+    rejected = 0
+    for n in range(1, 9):
+        for _ in range(300):
+            cols = []
+            for _ in range(n):
+                col = [rng.randrange(17) for _ in range(n)]
+                kind = rng.randrange(16)
+                if kind == 0:
+                    col = [0] * n
+                elif kind <= 5:
+                    top = max(col)
+                    for i in rng.sample(range(n), rng.randint(1, n)):
+                        col[i] = top
+                cols.append(col)
+            if [0] * n in cols:
+                with pytest.raises(ColumnNotNormalized):
+                    UtilityMatrix.from_weights(cols)
+                continue
+            x = UtilityMatrix.from_weights(cols)
+            passes = _max_cover(list(map(bytes, cols))) == (1 << n) - 1
+            assert passes == (len(set(chain.from_iterable(_compat_adjacency(x)))) == n)
+            if not passes:
+                rejected += 1
+                assert envy_free_matching(x) is None
+    assert rejected > 400  # 467 of the 2 400 grids
 
 
 @pytest.mark.parametrize(

@@ -9,6 +9,11 @@ with a plain breadth-first phase, as the library did before it handled a
 column object shared by several agents once and began with a greedy phase;
 the library must return exactly its outputs.
 
+The reference fuzzer draws every weight with its own call for 5 random
+bits and builds and tests a matrix for every draw without a zero column, as
+the library did before it drew a block of words at a time and rejected
+draws on their raw weights; the library must emit the same stream.
+
 The normalization steps reduce every worst case to columns that are uniform
 on their supports, which all three searches rest on. They are bare column
 transforms: callers pass a valid instance and an optimal assignment tau
@@ -16,6 +21,7 @@ transforms: callers pass a valid instance and an optimal assignment tau
 receives an item under tau, small otherwise.
 """
 
+import random
 from fractions import Fraction
 from itertools import chain, product
 
@@ -28,6 +34,7 @@ from envyprice.core import (
     optimal_welfare,
     price_ratio,
 )
+from envyprice.oracle import _ATTEMPTS, RejectionCapExceeded
 
 
 def random_columns(rng, n, m, max_w=10):
@@ -364,3 +371,35 @@ def _hopcroft_karp(adj: list[list[int]], n_right: int) -> list[int]:
                     dist[u] = INF
                     path.pop()
     return match_l
+
+
+# --- reference fuzzer: one getrandbits call per weight, a matrix per draw ---------
+
+def reference_fuzz_instances(n, count, seed):
+    budget = _ATTEMPTS * count
+    used = 0
+    for idx in range(count):
+        getrandbits = random.Random(f"fuzz:{seed}:{idx}").getrandbits
+        while True:
+            if used >= budget:
+                raise RejectionCapExceeded(idx, budget)
+            used += 1
+            cols = []
+            for _ in range(n):
+                weights = []
+                for _ in range(n):
+                    # rng.randrange(17), inlined: the same rejection loop
+                    # over 5 random bits, so the same stream
+                    v = getrandbits(5)
+                    while v >= 17:
+                        v = getrandbits(5)
+                    weights.append(v)
+                if not any(weights):
+                    break
+                cols.append(weights)
+            if len(cols) < n:
+                continue
+            x = UtilityMatrix.from_weights(cols)
+            if envy_free_matching(x) is not None:
+                yield x
+                break
