@@ -125,9 +125,9 @@ MAX_RATIO_STEPS = 100_000
 class RatioSearchFailed(RuntimeError):
     """The ratio search `dinkelbach`, which the solver and the oracle share,
     broke an invariant that guarantees it terminates: it ran past
-    `MAX_RATIO_STEPS` steps, or met a negative objective, which means the
-    step's maximum is wrong, since the start `construction_ratio(n)` and
-    each maximizer's ratio are attainable."""
+    `MAX_RATIO_STEPS` steps, or met a negative objective. That means the
+    step's maximum is wrong, or the start is above the optimum, since the
+    start `_start_ratio(n)` and each maximizer's ratio are attainable."""
 
     def __init__(self, n: int, detail: str):
         self.n = n
@@ -144,6 +144,42 @@ def construction_ratio(n: int) -> Fraction:
     return num / den
 
 
+def _start_ratio(n: int) -> Fraction:
+    """The best ratio of `construction_ratio(n)` and the two-size blocks
+    near sqrt(n), where the optimum for m = n sits.
+
+    A block (j, x, y) has x columns uniform on j items, y on j + 1 and the
+    rest on all n, for j = floor(sqrt n) or one more, below n. The fill
+    puts j*x items into the j-columns, min(R, (j+1)*y) of the R left into
+    the (j+1)-columns and the rest into the full ones, for x up to n/j and
+    y = floor(R/(j+1)) or one more, the two that the restricted scan of
+    the solver can pick. Each block is a feasible (s, r) of the
+    histogram program and, read as per-agent (support size, hits) pairs,
+    a vertex config of the oracle, so its ratio is at most the optimum of
+    either search. A block's num and den are kept on the scale j*(j+1)*n,
+    compared by cross-multiplying.
+    """
+    best = construction_ratio(n)
+    best_num, best_den = best.numerator, best.denominator
+    root = math.isqrt(n)
+    for j in range(root, min(root + 1, n - 1) + 1):
+        k = j + 1
+        # j*k*n over each column size: one item's and one column's weight
+        per_j, per_k, per_n = k * n, j * n, j * k
+        for x in range(1, n // j + 1):
+            rest = n - j * x
+            low = rest // k
+            for y in (low, low + 1):
+                if x + y > n or (k == n and y):
+                    continue
+                t = min(rest, k * y)
+                num = j * x * per_j + t * per_k + (rest - t) * per_n
+                den = x * per_j + y * per_k + (n - x - y) * per_n
+                if num * best_den > best_num * den:
+                    best_num, best_den = num, den
+    return Fraction(best_num, best_den)
+
+
 def dinkelbach(
     n: int, step: Callable[[Fraction], tuple[Fraction, Any]]
 ) -> tuple[Fraction, Any]:
@@ -151,14 +187,18 @@ def dinkelbach(
 
     ``step(alpha)`` returns the maximum of num - alpha*den over a finite
     candidate set, with a maximizer whose ``ratio`` is its own num/den.
-    Starting at alpha = ``construction_ratio(n)``, alpha jumps to that
-    ratio until the maximum is zero; each jump strictly raises alpha among
-    the attainable ratios, so the search ends. The start is valid because
-    the square-root construction is a real instance: its ratio never
-    exceeds the optimum, and it is close to it for large n.
+    Starting at alpha = ``_start_ratio(n)``, alpha jumps to that ratio
+    until the maximum is zero; each jump strictly raises alpha among the
+    attainable ratios, so the search ends. The start is valid because it is
+    the ratio of the square-root construction or of a two-size block, each
+    attainable in both the solver's and the oracle's search, so it never
+    exceeds the optimum; were it above, the first step would go negative
+    and raise RatioSearchFailed. It equals p(n) at every n checked (all
+    n <= 1000 and a sample to 12 345), so the first step is usually the
+    certifying one.
     Returns (alpha, maximizer) from the zero-objective step.
     """
-    alpha = construction_ratio(n)
+    alpha = _start_ratio(n)
     for _ in range(MAX_RATIO_STEPS):
         objective, best = step(alpha)
         if objective == 0:

@@ -32,11 +32,13 @@ beaten by one with a column fewer or a column one size smaller. It
 returns exactly what scoring the whole family would (see
 `_scan_restricted`).
 
-The ratio itself is found by exact Dinkelbach iteration (`core.dinkelbach`),
-which starts at the ratio of the paper's square-root construction
-(`core.construction_ratio`), attainable and close to p for large n. It
-finishes with a zero-objective solve at p and so returns the
-lexicographically least witness attaining it.
+The ratio itself is found by exact Dinkelbach iteration (`core.dinkelbach`).
+It starts at the best ratio of the paper's square-root construction and
+the two-size blocks with least size floor(sqrt n) or one more, each a
+feasible (s, r), so attainable and at most p. That start is p itself at
+every n checked, so one solve usually certifies it. The search finishes
+with a zero-objective solve at p and so returns the lexicographically
+least witness attaining it.
 
 All arithmetic is exact. Internally a candidate is scored with integers:
 with M = lcm(1..n) and alpha = p/q, the objective sign of a candidate is the
@@ -335,10 +337,10 @@ def solve_p_nn(n: int, options: Optional[SolveOptions] = None) -> StructuredWitn
     """Exact p(n) with a maximizing witness.
 
     Exact Dinkelbach iteration (`core.dinkelbach`) over `solve_alpha`,
-    which starts at the square-root construction's ratio
-    (`core.construction_ratio`): at most 3 steps for n <= 300. The last
-    step runs at alpha = p(n), and its witness is the lexicographically
-    least one attaining p(n).
+    which starts at the best attainable ratio of the square-root
+    construction and the two-size blocks near sqrt(n): one step for
+    n <= 300. The last step runs at alpha = p(n), and its witness is the
+    lexicographically least one attaining p(n).
     """
     return dinkelbach(n, lambda alpha: solve_alpha(n, alpha, options))[1]
 

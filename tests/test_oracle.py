@@ -218,12 +218,16 @@ def test_floats_and_non_int_n_are_rejected(call):
         call()
 
 
-def test_warm_start_matches_a_start_at_one():
+def test_warm_start_matches_a_start_at_one(monkeypatch):
     # from any start the last step runs at the optimum, so the result is
-    # what a zero-objective step there returns
+    # what a zero-objective step there returns, and what a search started
+    # at alpha = 1, in more steps, returns
+    want = {}
     for n in range(1, 151):
-        value, config = oracle_p_nn(n)
+        want[n] = value, config = oracle_p_nn(n)
         assert envyprice.oracle._oracle_dp(n, value) == (0, config), n
+    monkeypatch.setattr(envyprice.core, "_start_ratio", lambda n: F(1))
+    assert {n: oracle_p_nn(n) for n in range(1, 61)} == {n: want[n] for n in range(1, 61)}
 
 
 # --- realization ---------------------------------------------------------------

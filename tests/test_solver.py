@@ -8,7 +8,8 @@ from typing import Optional, Sequence
 import pytest
 
 from envyprice import core, oracle, solver
-from envyprice.core import RatioSearchFailed, construction_ratio
+from envyprice.bounds import lower_construction
+from envyprice.core import RatioSearchFailed, construction_ratio, price_ratio
 from envyprice.solver import (
     KNOWN_RATIOS,
     Search,
@@ -22,7 +23,7 @@ from envyprice.solver import (
     witness_to_dict,
     write_witness,
 )
-from envyprice.structure import InvalidWitness
+from envyprice.structure import InvalidWitness, build_witness_matrix
 
 F = Fraction
 
@@ -429,8 +430,49 @@ def test_int_alpha_is_accepted():
 
 # --- the warm start -----------------------------------------------------------
 
-def test_warm_start_takes_at_most_three_steps(monkeypatch):
-    # both searches start at the square-root construction's ratio
+def _two_size_blocks(n):
+    """Reference for the blocks `core._start_ratio` scores, as (s, r) pairs
+    with the greedy fill: least size j = isqrt(n) or one more, below n;
+    x <= n/j columns of size j; y = floor(R/(j+1)) or one more of size j+1,
+    R being the items the j-columns leave; full support on the rest."""
+    root = math.isqrt(n)
+    for j in (root, root + 1):
+        if not 1 <= j < n:
+            continue
+        for x in range(1, n // j + 1):
+            low = (n - j * x) // (j + 1)
+            for y in (low, low + 1):
+                if x + y > n or (j + 1 == n and y):
+                    continue
+                s = [0] * n
+                s[j - 1] = x
+                s[j] += y
+                s[-1] += n - x - y
+                yield tuple(s), solver._greedy_fill(s, n)
+
+
+def test_start_lies_between_the_construction_and_p():
+    # every n to 300, one seeded n per width-100 stratum of 301..1000, and
+    # n = 2000
+    rng = random.Random("solver:start-sample")
+    sample = [rng.randrange(lo, lo + 100) for lo in range(301, 1001, 100)]
+    for n in [*range(1, 301), *sample, 2000]:
+        start = core._start_ratio(n)
+        assert construction_ratio(n) <= start <= solve_p_nn(n).ratio, n
+        if n > 40:
+            continue
+        # the start is the best block's ratio, on Fractions, or the
+        # construction's, and the matrix it comes from certifies it
+        blocks = [(solver._witness_ratio(s, r), s, r) for s, r in _two_size_blocks(n)]
+        ratio, s, r = max(blocks, key=lambda b: b[0], default=(F(0), None, None))
+        assert start == max(ratio, construction_ratio(n)), n
+        x = build_witness_matrix(s, r, n) if ratio == start else lower_construction(n)
+        assert price_ratio(x).ratio == start, n
+
+
+def test_warm_start_takes_one_step(monkeypatch):
+    # both searches start at `core._start_ratio(n)`, which is p(n) here, so
+    # the first step is the certifying one
     first, calls = {}, Counter()
 
     def counting(inner, kind):
@@ -446,20 +488,34 @@ def test_warm_start_takes_at_most_three_steps(monkeypatch):
         solve_p_nn(n)
     for n in range(1, 151):
         oracle.oracle_p_nn(n)
-    assert first == {
-        (kind, n): construction_ratio(n)
-        for kind, top in (("solver", 300), ("oracle", 150))
-        for n in range(1, top + 1)
-    }
-    assert {key: c for key, c in calls.items() if c > 3} == {}
+    keys = [(kind, n) for kind, top in (("solver", 300), ("oracle", 150))
+            for n in range(1, top + 1)]
+    assert first == {(kind, n): core._start_ratio(n) for kind, n in keys}
+    assert calls == Counter(keys)
 
 
-def test_warm_start_returns_the_witness_of_a_start_at_one():
+def test_a_start_above_p_is_refused(monkeypatch):
+    # an attainable start never exceeds the optimum; one that does makes
+    # the first step negative, which both searches refuse
+    p = {n: solve_p_nn(n).ratio for n in (1, 2, 3, 5, 8, 17, 40, 99)}
+    monkeypatch.setattr(core, "_start_ratio", lambda n: p[n] + F(1, n + 1))
+    for n in p:
+        with pytest.raises(RatioSearchFailed, match="below zero"):
+            solve_p_nn(n)
+        with pytest.raises(RatioSearchFailed, match="below zero"):
+            oracle.oracle_p_nn(n)
+
+
+def test_warm_start_returns_the_witness_of_a_start_at_one(monkeypatch):
     # from any start the last step runs at p(n), so the result is what a
-    # zero-objective solve at the optimum returns
+    # zero-objective solve at the optimum returns, and what a search
+    # started at alpha = 1, in more steps, returns
+    want = {}
     for n in range(1, 61):
-        witness = solve_p_nn(n)
+        want[n] = witness = solve_p_nn(n)
         assert solve_alpha(n, witness.ratio) == (0, witness), n
+    monkeypatch.setattr(core, "_start_ratio", lambda n: F(1))
+    assert {n: solve_p_nn(n) for n in range(1, 61)} == want
 
 
 def test_ratio_search_failures_are_typed(monkeypatch):
