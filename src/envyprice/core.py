@@ -144,39 +144,34 @@ def construction_ratio(n: int) -> Fraction:
     return num / den
 
 
-def _start_ratio(n: int) -> Fraction:
-    """The best ratio of `construction_ratio(n)` and the two-size blocks
-    near sqrt(n), where the optimum for m = n sits.
+def _block_score(n: int, j: int, x: int, y: int) -> tuple[int, int]:
+    """(num, den) = (sum r_i/i, sum s_i/i) times j*k*n, k = j + 1, of x
+    columns uniform on j items, y on k and the rest on n, x <= n/j, filled
+    greedily: j*x items, then t = min(R, k*y) of the R left, then the rest."""
+    k = j + 1
+    filled = j * x
+    t = min(n - filled, k * y)
+    num = filled * k * n + t * j * n + (n - filled - t) * j * k
+    den = x * k * n + y * j * n + (n - x - y) * j * k
+    return num, den
 
-    A block (j, x, y) has x columns uniform on j items, y on j + 1 and the
-    rest on all n, for j = floor(sqrt n) or one more, below n. The fill
-    puts j*x items into the j-columns, min(R, (j+1)*y) of the R left into
-    the (j+1)-columns and the rest into the full ones, for x up to n/j and
-    y = floor(R/(j+1)) or one more, the two that the restricted scan of
-    the solver can pick. Each block is a feasible (s, r) of the
-    histogram program and, read as per-agent (support size, hits) pairs,
-    a vertex config of the oracle, so its ratio is at most the optimum of
-    either search. A block's num and den are kept on the scale j*(j+1)*n,
-    compared by cross-multiplying.
+
+def _start_ratio(n: int) -> Fraction:
+    """The best ratio of the all-full vector (1) and the blocks of
+    `_block_score` near sqrt(n), where the optimum for m = n sits:
+    j = floor(sqrt n) or one more, below n, x <= n/j, y = floor(R/(j+1)).
+    Each is a feasible (s, r) of the histogram program and, read as
+    per-agent (support size, hits) pairs, a vertex config of the oracle,
+    so the start is at most the optimum of either search.
     """
-    best = construction_ratio(n)
-    best_num, best_den = best.numerator, best.denominator
+    _check_n(n)
+    best_num = best_den = 1
     root = math.isqrt(n)
     for j in range(root, min(root + 1, n - 1) + 1):
-        k = j + 1
-        # j*k*n over each column size: one item's and one column's weight
-        per_j, per_k, per_n = k * n, j * n, j * k
         for x in range(1, n // j + 1):
-            rest = n - j * x
-            low = rest // k
-            for y in (low, low + 1):
-                if x + y > n or (k == n and y):
-                    continue
-                t = min(rest, k * y)
-                num = j * x * per_j + t * per_k + (rest - t) * per_n
-                den = x * per_j + y * per_k + (n - x - y) * per_n
-                if num * best_den > best_num * den:
-                    best_num, best_den = num, den
+            num, den = _block_score(n, j, x, (n - j * x) // (j + 1))
+            if num * best_den > best_num * den:
+                best_num, best_den = num, den
     return Fraction(best_num, best_den)
 
 
@@ -190,11 +185,11 @@ def dinkelbach(
     Starting at alpha = ``_start_ratio(n)``, alpha jumps to that ratio
     until the maximum is zero; each jump strictly raises alpha among the
     attainable ratios, so the search ends. The start is valid because it is
-    the ratio of the square-root construction or of a two-size block, each
+    the ratio of the all-full vector or of a two-size block, each
     attainable in both the solver's and the oracle's search, so it never
     exceeds the optimum; were it above, the first step would go negative
     and raise RatioSearchFailed. It equals p(n) at every n checked (all
-    n <= 1000 and a sample to 12 345), so the first step is usually the
+    n <= 5000 and a sample to 10^6), so the first step is usually the
     certifying one.
     Returns (alpha, maximizer) from the zero-objective step.
     """

@@ -18,31 +18,20 @@ alone, O(n^2) big-integer steps per call, with no size limit.
 
 The restricted family has O(n^2) vectors: the all-full vector and blocks
 (j, x) keyed by the least size j, with x >= 1 columns of size j, y of
-size j+1 for a range of y, full support on the rest. Within a block the
-objective is concave and piecewise linear in y with one break at
-y = R/(j+1), R being the items the j-columns leave, so the least
-maximizing y follows from alpha in closed form: an end of the range or
-one of the two integers around the break. The blocks are walked in
-increasing lexicographic s, so the walk order alone breaks ties toward
-the least s. The scan scores one y per block and stops each size j at
-x = floor(n/j), the sum of floor(n/j) over j < n blocks per step (481 at
-n = 100): past ceil(n/j) the j-columns hold all n items, so a further
-j-column only adds to the denominator, and the block at ceil(n/j) is
-beaten by one with a column fewer or a column one size smaller. It
-returns exactly what scoring the whole family would (see
-`_scan_restricted`).
+size j+1 for a range of y, full support on the rest. `_scan_restricted`
+scores each block's best y, stops each size j at x = floor(n/j) and walks
+only the sizes a per-item bound leaves live: 40 blocks at n = 100, where
+the whole range has 481. It returns what scoring the whole family would.
 
 The ratio itself is found by exact Dinkelbach iteration (`core.dinkelbach`).
-It starts at the best ratio of the paper's square-root construction and
-the two-size blocks with least size floor(sqrt n) or one more, each a
-feasible (s, r), so attainable and at most p. That start is p itself at
-every n checked, so one solve usually certifies it. The search finishes
-with a zero-objective solve at p and so returns the lexicographically
-least witness attaining it.
+It starts at the best ratio of the all-full vector and the two-size
+blocks near sqrt(n), each a feasible (s, r), so at most p; it is p at
+every n checked, so one solve usually certifies it. The search ends with
+a zero-objective solve at p: its witness is the lexicographically least.
 
-All arithmetic is exact. Internally a candidate is scored with integers:
-with M = lcm(1..n) and alpha = p/q, the objective sign of a candidate is the
-sign of q*(M*sum r_i/i) - p*(M*sum s_i/i), both factors integers.
+All arithmetic is exact. Restricted blocks are scored on small integers,
+on the scale j*(j+1)*n (`core._block_score`), so p(10^6) takes under a
+second; the full DP scales its keys by lcm(1..n).
 """
 
 from __future__ import annotations
@@ -52,9 +41,10 @@ from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
 from operator import mul
-from typing import Iterator, Optional, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
 from .core import (
+    _block_score,
     _check_n,
     _check_rational,
     _is_int,
@@ -183,68 +173,81 @@ def _greedy_fill(s: Sequence[int], n: int) -> tuple[int, ...]:
     return tuple(r)
 
 
-def _scan_restricted(
-    n: int, p: int, q: int, wgt: Sequence[int]
-) -> tuple[int, tuple[int, ...]]:
-    """Best (key, s) over the restricted family, scoring one y per block.
-
-    Within a block (j, x) only y varies. With k = j+1 and x <= n/j (see
-    below), the greedy fill puts F = j*x items into the j-columns,
-    min(R, k*y) of the R = n - F left into the k-columns and the rest into
-    the full ones, so with W(i) = lcm(1..n)/i the integer key q*f - p*g
-    is the all-full vector's key W(n)*(q - p)*n plus
-
-        (W(j) - W(n)) * (q*F - p*x) + (W(k) - W(n)) * (q*min(R, k*y) - p*y),
-
-    and W(j) > W(k) >= W(n). That is concave and piecewise linear in y:
-    slope q*k - p up to y = R/k, slope -p after it. With lo = floor(R/k)
-    its least integer maximizer is 0 where nothing rises (q*k <= p) and
-    otherwise lo or lo + 1, whichever scores higher: the step from lo to
-    lo + 1 gains q*(R - k*lo) - p, so lo wins ties and always wins where
-    k divides R. Both lie in the block's range 0..y_hi (see
-    `_restricted_blocks`): where the step gains, R > k*lo, so
-    k*(lo + 1) <= R + k <= 2n - F and lo + 1 <= n - x.
-
-    x stops at floor(n/j); no block past it is a strict maximum. From
-    c = ceil(n/j) on the j-columns hold all n items, so R = 0, y = 0 and
-    the key, const - p*(W(j) - W(n))*x, falls with x, or stays flat at
-    alpha = 0. Where j does not divide n, block (j, c) holds
-    e = n - j*(c-1) < j items in its last j-column. If q*e <= p, block
-    (j, c-1) with y = 0, walked before it, scores no less: the column is
-    full support instead. Otherwise block (j-1, 1) with y = c-1, walked
-    after it, scores (W(j-1) - W(j))*(q*(j-1) - p) > 0 more: one
-    j-column is one size smaller.
-
-    The walk starts at the all-full vector and meets the family in
-    increasing lexicographic s, so keeping the first strict maximum
-    breaks ties toward the least s, as scoring every vector of the family
-    would. It scores 481 blocks at n = 100, of the 896 blocks and 14 948
-    vectors in the family. Keys are kept relative to the all-full vector,
-    whose key is added back on return.
-    """
-    w_n = wgt[n]
-    best_key = 0
-    best_block = (n - 1, 0, 0)
-    for j in range(n - 1, 0, -1):
+def _best_block(n: int, p: int, q: int, sizes: Iterable[int]) -> tuple:
+    """First strict maximum (v, w, block, num, den) of the all-full vector
+    and the blocks (j, x, y) of the sizes j in order, x <= n/j, each at its
+    least maximizing y: v/w is the objective times q*n, num/den the ratio."""
+    best = ((q - p) * n, 1, (n - 1, 0, 0), 1, 1)
+    for j in sizes:
         k = j + 1
-        u = wgt[j] - w_n
-        d = wgt[k] - w_n
+        jk = j * k
         rises = k < n and q * k > p
         for x in range(1, n // j + 1):
-            filled = j * x
-            key = u * (q * filled - p * x)
-            y = 0
-            if rises:
-                rest = n - filled
-                y = rest // k
-                t = k * y
-                if q * (rest - t) > p:
-                    y += 1
-                    t = rest
-                key += d * (q * t - p * y)
-            if key > best_key:
-                best_key, best_block = key, (j, x, y)
-    return best_key + w_n * (q - p) * n, _block_s(n, *best_block)
+            rest = n - j * x
+            y = rest // k + (q * (rest % k) > p) if rises else 0
+            num, den = _block_score(n, j, x, y)
+            v = q * num - p * den
+            if v * best[1] > best[0] * jk:
+                best = (v, jk, (j, x, y), num, den)
+    return best
+
+
+def _scan_restricted(n: int, p: int, q: int) -> tuple[Fraction, tuple[int, ...], Fraction]:
+    """Best (objective, s, ratio) over the restricted family at alpha = p/q.
+
+    Against the all-full vector (objective 1 - alpha) a column of size
+    i < n holding c <= i items adds (c - alpha)(n - i)/(n*i). In block
+    (j, x), with k = j + 1, x <= n/j and R = n - j*x, the fill puts j items
+    in each j-column, k in each of the first lo = floor(R/k) k-columns,
+    e = R - k*lo in the next and none after. So for k < n the objective is
+    concave in y, and its least maximizer is 0 if q*k <= p, else lo, plus
+    one if q*e > p. Both lie in the range 0..y_hi of `_restricted_blocks`:
+    where the step gains, e > 0, so k*(lo+1) <= 2n - j*x and lo+1 <= n - x.
+
+    x stops at floor(n/j): no block past it is a strict maximum. From
+    c = ceil(n/j) on, a further j-column is empty and adds
+    -alpha*(n - j)/(n*j) <= 0. Where j does not divide n, block (j, c) holds
+    e = n - j*(c-1) < j items in its last j-column. If q*e <= p, block
+    (j, c-1) with y = 0, walked before it, scores no less; otherwise block
+    (j-1, 1) with y = c-1, walked after it, scores
+    (j - 1 - alpha)/(j*(j - 1)) > 0 more.
+
+    Only live sizes are walked. As c <= i and alpha >= 0, a column adds at
+    most c*h(i), h(i) = (n - i)(i - alpha)/(n*i^2), and a block's non-full
+    columns hold C <= n items. Let LB >= 0 be the most that the all-full
+    vector (0) and the blocks of sizes floor(sqrt n) and one more add; i is
+    live when n*h(i) >= LB. A block with neither j nor k live adds less
+    than LB: below C*LB/n <= LB for C > 0; for C = 0 at most
+    -alpha*x*(n - j)/(n*j) <= 0, below LB unless LB = alpha = 0, where
+    h(j) > 0. With z = 1/i, n*h(i) = (n*z - 1)(1 - alpha*z) is concave in z,
+    so the live sizes are an interval [a, b] holding the integer maximizer
+    of h, the floor or ceil of 2*n*alpha/(n + alpha) clamped to 1..n. It is
+    never empty: LB > 0 makes its block's j or k live, LB = 0 makes n live.
+    The walk covers j = min(b, n-1) down to max(1, a-1).
+
+    `core._block_score` gives q*num - p*den, the objective times q*j*k*n,
+    compared across blocks by cross-multiplying with j*k. The walk starts
+    at the all-full vector and meets the family in increasing
+    lexicographic s, so its first strict maximum has the least s.
+    """
+    root = math.isqrt(n)
+    v, w = _best_block(n, p, q, range(root, min(root + 1, n - 1) + 1))[:2]
+    # gap = LB*q*n*w; i is live when (n - i)(q*i - p)/i^2 >= LB*q
+    gap = v - (q - p) * n * w
+
+    def live(i: int) -> bool:
+        return (n - i) * (q * i - p) * n * w >= gap * i * i
+
+    a = b = min(n, max(1, 2 * n * p // (n * q + p)))
+    if not live(a):
+        a = b = min(n, a + 1)
+    while b < n and live(b + 1):
+        b += 1
+    while a > 1 and live(a - 1):
+        a -= 1
+    walk = range(min(b, n - 1), max(1, a - 1) - 1, -1)
+    v, w, block, num, den = _best_block(n, p, q, walk)
+    return Fraction(v, q * n * w), _block_s(n, *block), Fraction(num, den)
 
 
 def _scan_full(
@@ -320,26 +323,27 @@ def solve_alpha(
         raise ValueError(f"options must be a SolveOptions, got {options!r}")
 
     p, q = alpha.numerator, alpha.denominator
-    m = math.lcm(*range(1, n + 1))
-    wgt = [0] + [m // i for i in range(1, n + 1)]
-    scan = _scan_full if options.search is Search.FULL_ENUMERATION else _scan_restricted
-    best_key, best_s = scan(n, p, q, wgt)
-
-    r = _greedy_fill(best_s, n)
-    # the ratio on the scan's weights W(i) = m/i; StructuredWitness checks
-    # it against `_witness_ratio`, computed on another scale
-    ratio = Fraction(sum(map(mul, r, wgt[1:])), sum(map(mul, best_s, wgt[1:])))
-    witness = StructuredWitness(best_s, r, ratio)
-    return Fraction(best_key, q * m), witness
+    if options.search is Search.FULL_ENUMERATION:
+        m = math.lcm(*range(1, n + 1))
+        wgt = [0] + [m // i for i in range(1, n + 1)]
+        key, s = _scan_full(n, p, q, wgt)
+        r = _greedy_fill(s, n)
+        objective = Fraction(key, q * m)
+        ratio = Fraction(sum(map(mul, r, wgt[1:])), sum(map(mul, s, wgt[1:])))
+    else:
+        objective, s, ratio = _scan_restricted(n, p, q)
+        r = _greedy_fill(s, n)
+    # StructuredWitness checks the scan's ratio against `_witness_ratio`
+    return objective, StructuredWitness(s, r, ratio)
 
 
 def solve_p_nn(n: int, options: Optional[SolveOptions] = None) -> StructuredWitness:
     """Exact p(n) with a maximizing witness.
 
     Exact Dinkelbach iteration (`core.dinkelbach`) over `solve_alpha`,
-    which starts at the best attainable ratio of the square-root
-    construction and the two-size blocks near sqrt(n): one step for
-    n <= 300. The last step runs at alpha = p(n), and its witness is the
+    which starts at the best attainable ratio of the two-size blocks near
+    sqrt(n): one step at every n checked (all n <= 5000 and a sample to
+    10^6). The last step runs at alpha = p(n), and its witness is the
     lexicographically least one attaining p(n).
     """
     return dinkelbach(n, lambda alpha: solve_alpha(n, alpha, options))[1]

@@ -31,6 +31,9 @@ F = Fraction
 SANDWICH_300_BUDGET_S = 10.0
 # 1.0-1.5 s measured on the same box for the 11 values of the sample to 5000
 SANDWICH_5000_SAMPLE_BUDGET_S = 6.0
+# about 0.05 s measured on the same box for the solve and the checks at
+# n = 100 000; the scan over every block size took 31 s and 1.86 GiB there
+SANDWICH_100000_BUDGET_S = 2.0
 
 
 # --- the square-root construction ---------------------------------------------
@@ -178,6 +181,18 @@ def test_sandwich_and_construction_hold_exactly_on_a_sample_to_5000():
         _assert_sandwich(n, F(2, 15))
     elapsed = time.perf_counter() - t0
     assert elapsed < SANDWICH_5000_SAMPLE_BUDGET_S, f"{elapsed:.2f}s"
+
+
+def test_sandwich_holds_at_n_100000():
+    # the solver walks only the block sizes near sqrt(n) that its bound
+    # leaves live, on small keys, so p(n) stays cheap far past the full
+    # DP's range; the start is p(n) here, so one step certifies it
+    n = 100_000
+    t0 = time.perf_counter()
+    _assert_sandwich(n, F(2, 15))
+    elapsed = time.perf_counter() - t0
+    assert elapsed < SANDWICH_100000_BUDGET_S, f"{elapsed:.2f}s"
+    assert solve_p_nn(n).ratio == envyprice.core._start_ratio(n)
 
 
 # --- input validation ----------------------------------------------------------------

@@ -6,6 +6,8 @@ from itertools import combinations
 from typing import Optional, Sequence
 
 import pytest
+from hypothesis import given, settings
+import hypothesis.strategies as st
 
 from envyprice import core, oracle, solver
 from envyprice.bounds import lower_construction
@@ -24,6 +26,7 @@ from envyprice.solver import (
     write_witness,
 )
 from envyprice.structure import InvalidWitness, build_witness_matrix
+from util import reference_p_nn, reference_solve_alpha
 
 F = Fraction
 
@@ -203,6 +206,105 @@ def test_pruned_walk_matches_the_four_point_scan_to_300():
         ratio = solve_p_nn(n).ratio
         alphas = {F(0), F(1), F(n + 1), ratio, ratio - F(1, 1000), ratio + F(1, 1000)}
         _assert_matches_the_four_point_scan(n, alphas)
+
+
+# --- the live window -----------------------------------------------------------
+
+def _alpha_sweep(n):
+    """0, 1, 3/2, n/2, n + 1, the start and p(n)."""
+    ratio = solve_p_nn(n).ratio
+    return sorted({F(0), F(1), F(3, 2), F(n, 2), F(n + 1), core._start_ratio(n), ratio})
+
+
+def test_windowed_scan_matches_the_whole_range_reference_to_300():
+    # the reference walks every size j < n on lcm(1..n) keys
+    for n in range(1, 301):
+        for alpha in _alpha_sweep(n):
+            assert solve_alpha(n, alpha) == reference_solve_alpha(n, alpha), (n, alpha)
+
+
+@pytest.mark.parametrize("n", [2000, 5000])
+def test_windowed_scan_matches_the_whole_range_reference_at_scale(n):
+    for alpha in _alpha_sweep(n):
+        assert solve_alpha(n, alpha) == reference_solve_alpha(n, alpha), alpha
+
+
+def test_search_from_one_takes_the_reference_steps_to_300(monkeypatch):
+    # from alpha = 1 the steps run far below p(n), where the window is wide
+    seen = []
+
+    def step(n, alpha, options=None):
+        seen.append(alpha)
+        return solve_alpha(n, alpha, options)
+
+    monkeypatch.setattr(core, "_start_ratio", lambda n: F(1))
+    monkeypatch.setattr(solver, "solve_alpha", step)
+    for n in range(1, 301):
+        seen.clear()
+        alphas, witness = reference_p_nn(n)
+        assert solve_p_nn(n) == witness, n
+        assert seen == alphas, n
+
+
+@settings(deadline=None, max_examples=150)
+@given(st.integers(1, 150).flatmap(
+    lambda n: st.tuples(st.just(n), st.fractions(0, n + 2, max_denominator=64))))
+def test_windowed_scan_matches_the_reference_at_random_alpha(case):
+    n, alpha = case
+    assert solve_alpha(n, alpha) == reference_solve_alpha(n, alpha)
+
+
+def _brute_window(n, alpha):
+    """The sizes j < n, falling, where j or j + 1 is live: i is live when
+    (n - i)(i - alpha)/i^2 >= LB, checked at every i in 1..n. LB is the
+    most that the all-full vector (0) and the blocks with least size
+    j = isqrt(n) or one more, below n, add to the all-full objective:
+    x <= n/j, y at the ends of its range and around R/(j+1). A column of
+    size i holding c items adds (c - alpha)(n - i)/(n*i)."""
+    a, b = alpha.numerator, alpha.denominator
+    lb = F(0)
+    root = math.isqrt(n)
+    for j in (root, root + 1):
+        if not 1 <= j < n:
+            continue
+        k = j + 1
+        for x in range(1, n // j + 1):
+            rest = n - j * x
+            y_hi = min(n - x, (2 * n - j * x) // k) if k < n else 0
+            for y in {0, y_hi, min(rest // k, y_hi), min(rest // k + 1, y_hi)}:
+                t = min(rest, k * y)
+                gain = x * (b * j - a) * (n - j) * k + (b * t - a * y) * (n - k) * j
+                lb = max(lb, F(gain, b * n * j * k))
+    # (n - i)(i - alpha)/i^2 >= lb, cleared of the denominators of alpha and lb
+    c, d = lb.numerator, lb.denominator
+    live = [None] + [(n - i) * (b * i - a) * d >= c * b * i * i for i in range(1, n + 1)]
+    return [j for j in range(n - 1, 0, -1) if live[j] or live[j + 1]]
+
+
+def test_walk_visits_exactly_the_live_sizes(monkeypatch):
+    # integer alphas above sqrt(n) + 1 leave LB = 0, the all-full vector,
+    # and put the edge of the live interval on the size i = alpha, where
+    # (n - i)(i - alpha) is zero; a live set is found by walking both ways
+    # from the maximizer of h
+    calls = []
+
+    def recording(n, p, q, sizes):
+        calls.append(list(sizes))
+        return best_block(n, p, q, sizes)
+
+    best_block = solver._best_block
+    monkeypatch.setattr(solver, "_best_block", recording)
+    rng = random.Random(26)
+    for n in range(1, 201):
+        root = math.isqrt(n)
+        alphas = {F(0), F(1), F(3, 2), F(n, 2), F(n + 1), core._start_ratio(n)}
+        alphas.update(F(a) for a in (2, root + 2, n // 2 + 1, n - 1, n))
+        alphas.add(F(rng.randint(0, 3 * n), rng.randint(1, 40)))
+        for alpha in alphas:
+            calls.clear()
+            solve_alpha(n, alpha)
+            assert calls[0] == [j for j in (root, root + 1) if 1 <= j < n], (n, alpha)
+            assert calls[1] == _brute_window(n, alpha), (n, alpha)
 
 
 # Reference: the full search as it enumerated all C(2n-2, n-2) compositions
@@ -431,10 +533,11 @@ def test_int_alpha_is_accepted():
 # --- the warm start -----------------------------------------------------------
 
 def _two_size_blocks(n):
-    """Reference for the blocks `core._start_ratio` scores, as (s, r) pairs
-    with the greedy fill: least size j = isqrt(n) or one more, below n;
-    x <= n/j columns of size j; y = floor(R/(j+1)) or one more of size j+1,
-    R being the items the j-columns leave; full support on the rest."""
+    """Reference for the blocks the start scored before it kept only
+    y = floor(R/(j+1)), as (s, r) pairs with the greedy fill: least size
+    j = isqrt(n) or one more, below n; x <= n/j columns of size j;
+    y = floor(R/(j+1)) or one more of size j+1, R being the items the
+    j-columns leave; full support on the rest."""
     root = math.isqrt(n)
     for j in (root, root + 1):
         if not 1 <= j < n:
@@ -461,8 +564,9 @@ def test_start_lies_between_the_construction_and_p():
         assert construction_ratio(n) <= start <= solve_p_nn(n).ratio, n
         if n > 40:
             continue
-        # the start is the best block's ratio, on Fractions, or the
-        # construction's, and the matrix it comes from certifies it
+        # the start is the best ratio of the wider reference family, on
+        # Fractions, with the construction as a floor, as it was before the
+        # start dropped both; the matrix it comes from certifies it
         blocks = [(solver._witness_ratio(s, r), s, r) for s, r in _two_size_blocks(n)]
         ratio, s, r = max(blocks, key=lambda b: b[0], default=(F(0), None, None))
         assert start == max(ratio, construction_ratio(n)), n

@@ -14,6 +14,11 @@ bits and builds and tests a matrix for every draw without a zero column, as
 the library did before it drew a block of words at a time and rejected
 draws on their raw weights; the library must emit the same stream.
 
+The reference restricted scan walks every block size j = n-1..1 on keys
+scaled by lcm(1..n), as the library did before it scored blocks on the
+small scale j*(j+1)*n and walked only the sizes its per-item bound leaves
+live; `solve_alpha` must return exactly its outputs.
+
 The normalization steps reduce every worst case to columns that are uniform
 on their supports, which all three searches rest on. They are bare column
 transforms: callers pass a valid instance and an optimal assignment tau
@@ -21,9 +26,11 @@ transforms: callers pass a valid instance and an optimal assignment tau
 receives an item under tau, small otherwise.
 """
 
+import math
 import random
 from fractions import Fraction
 from itertools import chain, product
+from operator import mul
 
 from envyprice.core import (
     UtilityMatrix,
@@ -35,6 +42,7 @@ from envyprice.core import (
     price_ratio,
 )
 from envyprice.oracle import _ATTEMPTS, RejectionCapExceeded
+from envyprice.solver import StructuredWitness, _block_s, _greedy_fill
 
 
 def random_columns(rng, n, m, max_w=10):
@@ -403,3 +411,60 @@ def reference_fuzz_instances(n, count, seed):
             if envy_free_matching(x) is not None:
                 yield x
                 break
+
+
+# --- reference restricted scan: every size, keys scaled by lcm(1..n) --------------
+
+def reference_scan_restricted(n, p, q, wgt):
+    """Best (key, s) over the restricted family, with W(i) = wgt[i] =
+    lcm(1..n)/i: the key of a block relative to the all-full vector is
+    (W(j) - W(n))*(q*F - p*x) + (W(k) - W(n))*(q*t - p*y), and every size
+    j < n is walked, x up to floor(n/j), ties to the first."""
+    w_n = wgt[n]
+    best_key = 0
+    best_block = (n - 1, 0, 0)
+    for j in range(n - 1, 0, -1):
+        k = j + 1
+        u = wgt[j] - w_n
+        d = wgt[k] - w_n
+        rises = k < n and q * k > p
+        for x in range(1, n // j + 1):
+            filled = j * x
+            key = u * (q * filled - p * x)
+            y = 0
+            if rises:
+                rest = n - filled
+                y = rest // k
+                t = k * y
+                if q * (rest - t) > p:
+                    y += 1
+                    t = rest
+                key += d * (q * t - p * y)
+            if key > best_key:
+                best_key, best_block = key, (j, x, y)
+    return best_key + w_n * (q - p) * n, _block_s(n, *best_block)
+
+
+def reference_solve_alpha(n, alpha):
+    """`solve_alpha`'s restricted search on the lcm(1..n) scale:
+    (objective, witness)."""
+    alpha = Fraction(alpha)
+    p, q = alpha.numerator, alpha.denominator
+    m = math.lcm(*range(1, n + 1))
+    wgt = [0] + [m // i for i in range(1, n + 1)]
+    key, s = reference_scan_restricted(n, p, q, wgt)
+    r = _greedy_fill(s, n)
+    ratio = Fraction(sum(map(mul, r, wgt[1:])), sum(map(mul, s, wgt[1:])))
+    return Fraction(key, q * m), StructuredWitness(s, r, ratio)
+
+
+def reference_p_nn(n, alpha=Fraction(1)):
+    """Dinkelbach iteration over `reference_solve_alpha` from alpha:
+    (every alpha visited, the witness at the last)."""
+    alphas = [alpha]
+    while True:
+        objective, witness = reference_solve_alpha(n, alphas[-1])
+        if objective == 0:
+            return alphas, witness
+        assert objective > 0, (n, alphas[-1])
+        alphas.append(witness.ratio)
