@@ -446,9 +446,9 @@ def is_envy_free(x: UtilityMatrix, allocation: Sequence[int]) -> bool:
     return True
 
 
-def _compat_adjacency(x: UtilityMatrix) -> tuple[list[list[int]], Sequence[list[int]]]:
-    """The items attaining a column's maximum: one list per distinct column
-    object, and per agent, where agents sharing an object share its list."""
+def _compat_adjacency(x: UtilityMatrix) -> Sequence[list[int]]:
+    """The items attaining each agent's column maximum, one list per agent;
+    agents sharing a column object share its list, built once."""
     grid, distinct = x.grid, x._distinct_columns
     lists = []
     for col in distinct:
@@ -460,7 +460,7 @@ def _compat_adjacency(x: UtilityMatrix) -> tuple[list[list[int]], Sequence[list[
             lists.append(list(range(ties)))
         else:
             lists.append([i for i, v in enumerate(col) if v == best])
-    return lists, lists if distinct is grid else _spread(grid, distinct, lists)
+    return _spread(grid, distinct, lists)
 
 
 def _hopcroft_karp(adj: Sequence[list[int]], n_right: int) -> list[int]:
@@ -477,12 +477,12 @@ def _hopcroft_karp(adj: Sequence[list[int]], n_right: int) -> list[int]:
     which none has, so it takes the first free item in the root's list, or
     fails and sets the root's distance to INF. The next BFS resets every
     distance, so the later phases and the matching returned do not change.
-    Vertices that share one list object (agents holding one column object)
-    share one iterator over it as a cursor. During the pass an item, once
-    taken, stays taken, so the free part of a list only shrinks and the
-    items a cursor has passed need no second look. A list held by many
-    vertices then costs its length plus one step per vertex, not its length
-    per vertex.
+    Each list object has one iterator over it as its cursor, shared by the
+    vertices holding it (agents holding one column object). During the pass
+    an item, once taken, stays taken, so the free part of a list only
+    shrinks and the items a cursor has passed need no second look. A list
+    held by many vertices then costs its length plus one step per vertex,
+    not its length per vertex.
     """
     n_left = len(adj)
     INF = n_left + n_right + 1
@@ -491,11 +491,9 @@ def _hopcroft_karp(adj: Sequence[list[int]], n_right: int) -> list[int]:
     dist = [0] * n_left
     edges: list = [None] * n_left  # adjacency iterators of the path vertices
 
-    shared = _distinct(adj) is not adj
-    if shared:  # one iterator per list object: its cursor
-        iters = dict(zip(map(id, adj), map(iter, adj)))
+    cursors = dict(zip(map(id, adj), map(iter, adj)))
     for u, items in enumerate(adj):
-        for v in iters[id(items)] if shared else items:
+        for v in cursors[id(items)]:
             if match_r[v] == -1:
                 match_r[v] = u
                 match_l[u] = v
@@ -563,19 +561,11 @@ def envy_free_matching(x: UtilityMatrix) -> Optional[Allocation]:
     other bundle only if it beats every other single item). So the search is
     a perfect matching in the compatibility graph agent j ~ item i iff
     x[i][j] = max_i' x[i'][j]. Returns None when no perfect matching exists.
-
-    Before the matching search, Hall's condition on the set of all agents is
-    checked: fewer than n items compatible with anyone rules a matching out.
-    It holds trivially, and is skipped, when some agent is compatible with
-    every item, as in uniform columns.
     """
     n = x.n
     if x.m != n:
         raise DimensionMismatch(x.m, n, "a square instance (m = n)")
-    lists, adj = _compat_adjacency(x)
-    if max(map(len, lists)) < n and len(set(chain.from_iterable(lists))) < n:
-        return None
-    match_l = _hopcroft_karp(adj, n)
+    match_l = _hopcroft_karp(_compat_adjacency(x), n)
     if -1 in match_l:
         return None
     owners = [-1] * x.m
@@ -589,13 +579,13 @@ def envy_free_optimal_welfare(x: UtilityMatrix) -> Optional[Fraction]:
 
     All envy-free allocations of a square instance have the same welfare,
     the sum of the column maxima, because every agent receives an item it
-    values at exactly its column maximum. A shared column's maximum is
-    taken once and counted once per agent holding it.
+    values at exactly its column maximum: the matched entries sum to it.
     """
-    if envy_free_matching(x) is None:
+    owners = envy_free_matching(x)
+    if owners is None:
         return None
-    grid, distinct = x.grid, x._distinct_columns
-    return Fraction(sum(_spread(grid, distinct, list(map(max, distinct)))), x.scale)
+    grid = x.grid
+    return Fraction(sum(grid[agent][item] for item, agent in enumerate(owners)), x.scale)
 
 
 def envy_free_optimal_exhaustive(x: UtilityMatrix) -> Optional[tuple[Fraction, Allocation]]:

@@ -278,7 +278,7 @@ def fuzz_instances(n: int, count: int, seed: int) -> Iterator[UtilityMatrix]:
     stops early at its first all-zero column, which rejects it. Before any
     matrix is built, a draw is rejected when fewer than n items attain some
     column's maximum: Hall's condition on the set of all agents then fails,
-    the check `envy_free_matching` makes first. Normalizing scales each
+    so `envy_free_matching` finds no perfect matching. Normalizing scales each
     column by a positive factor, which keeps its argmax, so the check on raw
     weights is exact; a draw that passes still goes through `from_weights`
     and `envy_free_matching`.

@@ -1,12 +1,14 @@
 import json
 import re
 import time
+import weakref
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
 
+from envyprice import cli
 from envyprice.cli import main
 from envyprice.core import UtilityMatrix, write_instance
 from envyprice.solver import KNOWN_RATIOS, read_witness, solve_p_nn, witness_to_dict
@@ -81,6 +83,27 @@ def test_table_to_file(tmp_path):
 def test_table_approx_column():
     result = invoke("table", "--from", "3", "--to", "3", "--approx")
     assert result.output == "n,p_num,p_den,p_approx\n3,8,7,1.142857\n"
+
+
+def test_table_csv_keeps_one_witness_alive_at_a_time(monkeypatch):
+    # a CSV row needs only the ratio; keeping every length-n witness until
+    # the first write made memory grow as the square of --to
+    live = weakref.WeakSet()
+    most = 0
+
+    def solve(n):
+        nonlocal most
+        w = solve_p_nn(n)
+        live.add(w)
+        most = max(most, len(live))
+        return w
+
+    expected = invoke("table", "--to", "50").output
+    monkeypatch.setattr(cli, "solve_p_nn", solve)
+    result = invoke("table", "--to", "50")
+    assert result.exit_code == 0
+    assert result.output == expected
+    assert most == 1
 
 
 def test_table_range_validation():

@@ -665,7 +665,7 @@ def test_matching_agrees_with_brute_force_on_tied_maxima():
     [
         [[1, 0, 0], [1, 0, 0], [0, 1, 1]],  # all n items compatible, no matching
         [[1, 0, 0], [1, 0, 0], [1, 0, 0]],  # Hall's condition fails on all agents
-        [[1, 1, 1], [1, 0, 0], [1, 0, 0]],  # a whole-column tie skips that check
+        [[1, 1, 1], [1, 0, 0], [1, 0, 0]],  # it holds there through a whole-column tie
     ],
 )
 def test_matching_none_with_and_without_halls_check(cols):

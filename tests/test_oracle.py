@@ -400,8 +400,9 @@ def test_fuzz_runs_out_where_the_reference_does(args, where):
 
 def test_fuzz_precheck_rejects_only_grids_without_an_envy_free_matching():
     # seeded weight grids with forced ties at the column maximum and some
-    # all-zero columns; the raw-weight check must be the Hall check that
-    # envy_free_matching makes on the normalized matrix
+    # all-zero columns; the raw-weight check must be Hall's condition on the
+    # set of all agents in the normalized matrix, and a grid it rejects has
+    # no envy-free matching
     rng = random.Random(24)
     rejected = 0
     for n in range(1, 9):

@@ -59,6 +59,22 @@ def test_witness_n7():
     assert w.ratio == F(63, 40)
 
 
+def test_p_has_a_closed_form_to_1000():
+    # j = ⌊√n⌋, c = ⌊n/(j+1)⌋ + 1, y = n − j·c and x = c − y: x columns of
+    # support j and y of support j + 1 cover the n items once, the other
+    # n − c are full. Ratios only: at pronic n = j(j+1) two blocks tie, and
+    # the least-s witness is j columns of support j + 1.
+    def closed_form(n):
+        j = math.isqrt(n)
+        c = n // (j + 1) + 1
+        y = n - j * c
+        return c / (F(c - y, j) + F(y, j + 1) + F(n - c, n))
+
+    assert closed_form(3) == F(12, 11) and solve_p_nn(3).ratio == F(8, 7)
+    assert all(closed_form(m * m) == F(m * m, 2 * m - 1) for m in range(1, 32))
+    assert [n for n in range(1, 1001) if closed_form(n) != solve_p_nn(n).ratio] == [3]
+
+
 # --- the parametric subproblem ------------------------------------------------
 
 def test_alpha_one_is_always_attainable():
