@@ -144,8 +144,8 @@ def construction_ratio(n: int) -> Fraction:
     return num / den
 
 
-def _block_score(n: int, j: int, x: int, y: int) -> tuple[int, int]:
-    """(num, den) = (sum r_i/i, sum s_i/i) times j*k*n, k = j + 1, of x
+def _block_score(n: int, j: int, x: int, y: int) -> tuple[int, int, int]:
+    """(num, den, t): (sum r_i/i, sum s_i/i) times j*k*n, k = j + 1, of x
     columns uniform on j items, y on k and the rest on n, x <= n/j, filled
     greedily: j*x items, then t = min(R, k*y) of the R left, then the rest."""
     k = j + 1
@@ -153,26 +153,49 @@ def _block_score(n: int, j: int, x: int, y: int) -> tuple[int, int]:
     t = min(n - filled, k * y)
     num = filled * k * n + t * j * n + (n - filled - t) * j * k
     den = x * k * n + y * j * n + (n - x - y) * j * k
-    return num, den
+    return num, den, t
+
+
+def _best_block(n: int, p: int, q: int, blocks: Iterable[tuple[int, int]]) -> tuple:
+    """First strict maximum (v, w, (j, x, y, t), num, den) at alpha = p/q of
+    the all-full vector and the blocks (j, x) in order, x <= n/j, each at
+    its least maximizing y: v/w is the objective times q*n, num/den the ratio."""
+    best = ((q - p) * n, 1, (n - 1, 0, 0, 0), 1, 1)
+    for j, x in blocks:
+        k = j + 1
+        rest = n - j * x
+        y = rest // k + (q * (rest % k) > p) if k < n and q * k > p else 0
+        num, den, t = _block_score(n, j, x, y)
+        v = q * num - p * den
+        jk = j * k
+        if v * best[1] > best[0] * jk:
+            best = (v, jk, (j, x, y, t), num, den)
+    return best
+
+
+def _start_blocks(n: int) -> list[tuple[int, int]]:
+    """Blocks (j, x) near sqrt(n), where the optimum for m = n sits, for
+    j = floor(sqrt n) + 1, then floor(sqrt n), below n: x = c - y columns
+    of size j and y = n - j*c of size j+1, c = floor(n/(j+1)) + 1, hold n
+    items; x = floor(n/j) where y < 0. Falling j wins ties: 8/7 at n = 3."""
+    root = math.isqrt(n)
+    blocks = []
+    for j in (root + 1, root):
+        if j < n:
+            c = n // (j + 1) + 1
+            y = n - j * c
+            blocks.append((j, c - y if y >= 0 else n // j))
+    return blocks
 
 
 def _start_ratio(n: int) -> Fraction:
-    """The best ratio of the all-full vector (1) and the blocks of
-    `_block_score` near sqrt(n), where the optimum for m = n sits:
-    j = floor(sqrt n) or one more, below n, x <= n/j, y = floor(R/(j+1)).
-    Each is a feasible (s, r) of the histogram program and, read as
+    """One Dinkelbach step from the all-full ratio 1 over `_start_blocks(n)`.
+    Each block is a feasible (s, r) of the histogram program and, read as
     per-agent (support size, hits) pairs, a vertex config of the oracle,
-    so the start is at most the optimum of either search.
-    """
+    so the start is at most the optimum of either search."""
     _check_n(n)
-    best_num = best_den = 1
-    root = math.isqrt(n)
-    for j in range(root, min(root + 1, n - 1) + 1):
-        for x in range(1, n // j + 1):
-            num, den = _block_score(n, j, x, (n - j * x) // (j + 1))
-            if num * best_den > best_num * den:
-                best_num, best_den = num, den
-    return Fraction(best_num, best_den)
+    num, den = _best_block(n, 1, 1, _start_blocks(n))[3:]
+    return Fraction(num, den)
 
 
 def dinkelbach(
@@ -185,12 +208,12 @@ def dinkelbach(
     Starting at alpha = ``_start_ratio(n)``, alpha jumps to that ratio
     until the maximum is zero; each jump strictly raises alpha among the
     attainable ratios, so the search ends. The start is valid because it is
-    the ratio of the all-full vector or of a two-size block, each
-    attainable in both the solver's and the oracle's search, so it never
-    exceeds the optimum; were it above, the first step would go negative
-    and raise RatioSearchFailed. It equals p(n) at every n checked (all
-    n <= 5000 and a sample to 10^6), so the first step is usually the
-    certifying one.
+    the ratio of the all-full vector or of one of the two closed-form
+    blocks `_start_blocks(n)`, each attainable in both the solver's and the
+    oracle's search, so it never exceeds the optimum; were it above, the
+    first step would go negative and raise RatioSearchFailed. It equals
+    p(n) at every n checked (all n <= 5000 and a sample to 10^6), so the
+    first step is usually the certifying one.
     Returns (alpha, maximizer) from the zero-objective step.
     """
     alpha = _start_ratio(n)

@@ -152,11 +152,11 @@ def oracle_p_nn(n: int) -> tuple[Fraction, VertexConfig]:
     """Exact worst-case ratio over configs, with a maximizing config.
 
     Exact Dinkelbach iteration (`core.dinkelbach`) over `_oracle_dp`,
-    which starts at the best ratio of the all-full vector and the
-    two-size blocks near sqrt(n). Each block, read as per-agent
-    (support size, hits) pairs, is a config, so the start is attainable
-    and at most the optimum; for n <= 150 it is the optimum, and one DP
-    step certifies it.
+    which starts at the ratio one step from the all-full ratio 1 over the
+    two closed-form blocks near sqrt(n) (`core._start_blocks`). Each
+    block, read as per-agent (support size, hits) pairs, is a config, so
+    the start is attainable and at most the optimum; for n <= 150 it is
+    the optimum, and one DP step certifies it.
 
     >>> oracle_p_nn(3)[0]
     Fraction(8, 7)

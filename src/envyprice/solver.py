@@ -20,12 +20,12 @@ The restricted family has O(n^2) vectors: the all-full vector and blocks
 (j, x) keyed by the least size j, with x >= 1 columns of size j, y of
 size j+1 for a range of y, full support on the rest. `_scan_restricted`
 scores each block's best y, stops each size j at x = floor(n/j) and walks
-only the sizes a per-item bound leaves live: 40 blocks at n = 100, where
+only the sizes a per-item bound leaves live: 23 blocks at n = 100, where
 the whole range has 481. It returns what scoring the whole family would.
 
 The ratio itself is found by exact Dinkelbach iteration (`core.dinkelbach`).
-It starts at the best ratio of the all-full vector and the two-size
-blocks near sqrt(n), each a feasible (s, r), so at most p; it is p at
+It starts one step from the all-full ratio 1 over the two blocks of
+`core._start_blocks`, each a feasible (s, r), so at most p; it is p at
 every n checked, so one solve usually certifies it. The search ends with
 a zero-objective solve at p: its witness is the lexicographically least.
 
@@ -37,18 +37,19 @@ second; the full DP scales its keys by lcm(1..n).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from operator import mul
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 from .core import (
-    _block_score,
+    _best_block,
     _check_n,
     _check_rational,
     _is_int,
     _read_json,
+    _start_blocks,
     _write_json,
     dinkelbach,
     format_rational,
@@ -137,14 +138,15 @@ def _restricted_blocks(n: int) -> Iterator[tuple[int, int, int]]:
             yield j, x, y_hi
 
 
-def _block_s(n: int, j: int, x: int, y: int) -> tuple[int, ...]:
-    """Dense s of x columns of size j, y of size j+1 and the rest full;
-    x = 0 with j = n-1 gives the all-full vector."""
-    s = [0] * n
-    s[j - 1] = x
-    s[j] += y
-    s[-1] += n - x - y
-    return tuple(s)
+def _block_vector(n: int, j: int, a: int, b: int) -> tuple[int, ...]:
+    """Dense vector summing to n: a at size j, b at j+1, the rest at n. Block
+    (j, x, y) with t items at j+1 has s = (n, j, x, y) and r = (n, j, j*x, t)
+    in these arguments; x = 0 with j = n-1 gives the all-full vector."""
+    v = [0] * n
+    v[j - 1] = a
+    v[j] += b
+    v[-1] += n - a - b
+    return tuple(v)
 
 
 def lemma4_candidates(n: int) -> Iterator[tuple[int, ...]]:
@@ -153,47 +155,16 @@ def lemma4_candidates(n: int) -> Iterator[tuple[int, ...]]:
     _check_n(n)
     if n < 2:
         raise ValueError("the restricted family needs n >= 2")
-    yield _block_s(n, n - 1, 0, 0)
+    yield _block_vector(n, n - 1, 0, 0)
     for j, x, y_hi in _restricted_blocks(n):
         for y in range(y_hi + 1):
-            yield _block_s(n, j, x, y)
+            yield _block_vector(n, j, x, y)
 
 
-def _greedy_fill(s: Sequence[int], n: int) -> tuple[int, ...]:
-    """Optimal r for fixed s: budget n poured into the smallest indices."""
-    r = [0] * len(s)
-    budget = n
-    for idx, si in enumerate(s):
-        if budget == 0:
-            break
-        if si:
-            take = min(budget, (idx + 1) * si)
-            r[idx] = take
-            budget -= take
-    return tuple(r)
-
-
-def _best_block(n: int, p: int, q: int, sizes: Iterable[int]) -> tuple:
-    """First strict maximum (v, w, block, num, den) of the all-full vector
-    and the blocks (j, x, y) of the sizes j in order, x <= n/j, each at its
-    least maximizing y: v/w is the objective times q*n, num/den the ratio."""
-    best = ((q - p) * n, 1, (n - 1, 0, 0), 1, 1)
-    for j in sizes:
-        k = j + 1
-        jk = j * k
-        rises = k < n and q * k > p
-        for x in range(1, n // j + 1):
-            rest = n - j * x
-            y = rest // k + (q * (rest % k) > p) if rises else 0
-            num, den = _block_score(n, j, x, y)
-            v = q * num - p * den
-            if v * best[1] > best[0] * jk:
-                best = (v, jk, (j, x, y), num, den)
-    return best
-
-
-def _scan_restricted(n: int, p: int, q: int) -> tuple[Fraction, tuple[int, ...], Fraction]:
-    """Best (objective, s, ratio) over the restricted family at alpha = p/q.
+def _scan_restricted(
+    n: int, p: int, q: int
+) -> tuple[Fraction, tuple[int, ...], tuple[int, ...], Fraction]:
+    """Best (objective, s, r, ratio) over the restricted family at alpha = p/q.
 
     Against the all-full vector (objective 1 - alpha) a column of size
     i < n holding c <= i items adds (c - alpha)(n - i)/(n*i). In block
@@ -215,23 +186,22 @@ def _scan_restricted(n: int, p: int, q: int) -> tuple[Fraction, tuple[int, ...],
     Only live sizes are walked. As c <= i and alpha >= 0, a column adds at
     most c*h(i), h(i) = (n - i)(i - alpha)/(n*i^2), and a block's non-full
     columns hold C <= n items. Let LB >= 0 be the most that the all-full
-    vector (0) and the blocks of sizes floor(sqrt n) and one more add; i is
-    live when n*h(i) >= LB. A block with neither j nor k live adds less
-    than LB: below C*LB/n <= LB for C > 0; for C = 0 at most
-    -alpha*x*(n - j)/(n*j) <= 0, below LB unless LB = alpha = 0, where
-    h(j) > 0. With z = 1/i, n*h(i) = (n*z - 1)(1 - alpha*z) is concave in z,
-    so the live sizes are an interval [a, b] holding the integer maximizer
-    of h, the floor or ceil of 2*n*alpha/(n + alpha) clamped to 1..n. It is
-    never empty: LB > 0 makes its block's j or k live, LB = 0 makes n live.
-    The walk covers j = min(b, n-1) down to max(1, a-1).
+    vector (0) and the blocks of `core._start_blocks(n)` add; i is live
+    when n*h(i) >= LB. A block with neither j nor k live adds less than LB:
+    below C*LB/n <= LB for C > 0; for C = 0 at most -alpha*x*(n - j)/(n*j)
+    <= 0, below LB unless LB = alpha = 0, where h(j) > 0. With z = 1/i,
+    n*h(i) = (n*z - 1)(1 - alpha*z) is concave in z, so the live sizes are
+    an interval [a, b] holding the integer maximizer of h, the floor or
+    ceil of 2*n*alpha/(n + alpha) clamped to 1..n. It is never empty:
+    LB > 0 makes its block's j or k live, LB = 0 makes n live. The walk
+    covers j = min(b, n-1) down to max(1, a-1).
 
     `core._block_score` gives q*num - p*den, the objective times q*j*k*n,
-    compared across blocks by cross-multiplying with j*k. The walk starts
-    at the all-full vector and meets the family in increasing
+    compared across blocks by cross-multiplying with j*k, and t for r. The
+    walk starts at the all-full vector and meets the family in increasing
     lexicographic s, so its first strict maximum has the least s.
     """
-    root = math.isqrt(n)
-    v, w = _best_block(n, p, q, range(root, min(root + 1, n - 1) + 1))[:2]
+    v, w = _best_block(n, p, q, _start_blocks(n))[:2]
     # gap = LB*q*n*w; i is live when (n - i)(q*i - p)/i^2 >= LB*q
     gap = v - (q - p) * n * w
 
@@ -245,15 +215,17 @@ def _scan_restricted(n: int, p: int, q: int) -> tuple[Fraction, tuple[int, ...],
         b += 1
     while a > 1 and live(a - 1):
         a -= 1
-    walk = range(min(b, n - 1), max(1, a - 1) - 1, -1)
-    v, w, block, num, den = _best_block(n, p, q, walk)
-    return Fraction(v, q * n * w), _block_s(n, *block), Fraction(num, den)
+    walk = ((j, x) for j in range(min(b, n - 1), max(1, a - 1) - 1, -1)
+            for x in range(1, n // j + 1))
+    v, w, (j, x, y, t), num, den = _best_block(n, p, q, walk)
+    s, r = _block_vector(n, j, x, y), _block_vector(n, j, j * x, t)
+    return Fraction(v, q * n * w), s, r, Fraction(num, den)
 
 
 def _scan_full(
     n: int, p: int, q: int, wgt: Sequence[int]
-) -> tuple[int, tuple[int, ...]]:
-    """Best (key, s) over all compositions of n into n parts, by a DP.
+) -> tuple[int, tuple[int, ...], tuple[int, ...]]:
+    """Best (key, s, r) over all compositions of n into n parts, by a DP.
 
     Columns go in smallest size first, so the greedy fill is a running
     count f of filled items: one more column of size i holds
@@ -270,8 +242,8 @@ def _scan_full(
     -(W(i) - W(n))*p <= 0 and is never taken, so every taken column fills
     an item. take[i] marks where another column of size i is strictly
     better; following it from f = 0 takes the fewest columns of each size
-    in turn, which is the lexicographically least optimal s. O(n^2) per
-    call, with no size limit.
+    in turn, which is the lexicographically least optimal s, and the t
+    of each column taken is its r. O(n^2) per call, with no size limit.
     """
     w_n = wgt[n]
     best = [0] * (n + 1)
@@ -286,14 +258,18 @@ def _scan_full(
                 best[f] = key
                 marks[f] = 1
     s = [0] * n
+    r = [0] * n
     f = 0
     for i in range(1, n):
         marks = take[i]
         while marks[f]:
+            t = min(i, n - f)
             s[i - 1] += 1
-            f += min(i, n - f)
+            r[i - 1] += t
+            f += t
     s[n - 1] = n - sum(s)
-    return best[0] + w_n * (q - p) * n, tuple(s)
+    r[n - 1] = n - f
+    return best[0] + w_n * (q - p) * n, tuple(s), tuple(r)
 
 
 def _witness_ratio(s: Sequence[int], r: Sequence[int]) -> Fraction:
@@ -326,13 +302,11 @@ def solve_alpha(
     if options.search is Search.FULL_ENUMERATION:
         m = math.lcm(*range(1, n + 1))
         wgt = [0] + [m // i for i in range(1, n + 1)]
-        key, s = _scan_full(n, p, q, wgt)
-        r = _greedy_fill(s, n)
+        key, s, r = _scan_full(n, p, q, wgt)
         objective = Fraction(key, q * m)
         ratio = Fraction(sum(map(mul, r, wgt[1:])), sum(map(mul, s, wgt[1:])))
     else:
-        objective, s, ratio = _scan_restricted(n, p, q)
-        r = _greedy_fill(s, n)
+        objective, s, r, ratio = _scan_restricted(n, p, q)
     # StructuredWitness checks the scan's ratio against `_witness_ratio`
     return objective, StructuredWitness(s, r, ratio)
 
@@ -341,10 +315,10 @@ def solve_p_nn(n: int, options: Optional[SolveOptions] = None) -> StructuredWitn
     """Exact p(n) with a maximizing witness.
 
     Exact Dinkelbach iteration (`core.dinkelbach`) over `solve_alpha`,
-    which starts at the best attainable ratio of the two-size blocks near
-    sqrt(n): one step at every n checked (all n <= 5000 and a sample to
-    10^6). The last step runs at alpha = p(n), and its witness is the
-    lexicographically least one attaining p(n).
+    which starts at the ratio one step from 1 over the two closed-form
+    blocks near sqrt(n): one step at every n checked (all n <= 5000 and a
+    sample to 10^6). The last step runs at alpha = p(n), and its witness is
+    the lexicographically least one attaining p(n).
     """
     return dinkelbach(n, lambda alpha: solve_alpha(n, alpha, options))[1]
 

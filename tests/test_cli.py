@@ -106,6 +106,30 @@ def test_table_csv_keeps_one_witness_alive_at_a_time(monkeypatch):
     assert most == 1
 
 
+def test_table_json_keeps_one_witness_alive_at_a_time(monkeypatch):
+    # the list is written one entry at a time, byte for byte what
+    # json.dumps(list, indent=2) gives; building the list first made
+    # memory grow as the square of --to
+    live = weakref.WeakSet()
+    most = 0
+
+    def solve(n):
+        nonlocal most
+        w = solve_p_nn(n)
+        live.add(w)
+        most = max(most, len(live))
+        return w
+
+    whole = [witness_to_dict(solve_p_nn(n)) for n in range(1, 41)]
+    monkeypatch.setattr(cli, "solve_p_nn", solve)
+    result = invoke("table", "--to", "40", "--format", "json")
+    assert result.exit_code == 0
+    assert result.output == json.dumps(whole, indent=2) + "\n"
+    assert most == 1
+    result = invoke("table", "--from", "7", "--to", "7", "--format", "json")
+    assert result.output == json.dumps(whole[6:7], indent=2) + "\n"
+
+
 def test_table_range_validation():
     assert invoke("table", "--from", "5", "--to", "3").exit_code == 2
 

@@ -26,7 +26,7 @@ from envyprice.solver import (
     write_witness,
 )
 from envyprice.structure import InvalidWitness, build_witness_matrix
-from util import reference_p_nn, reference_solve_alpha
+from util import greedy_fill, reference_p_nn, reference_solve_alpha, reference_start_ratio
 
 F = Fraction
 
@@ -184,7 +184,7 @@ def _four_point_scan(n, p, q, wgt):
         lo = rest // (j + 1)
         for y in {0, y_hi, min(lo, y_hi), min(lo + 1, y_hi)}:
             key = q * (f0 + min(rest, (j + 1) * y) * gain) - p * (g0 + y * gain)
-            s = solver._block_s(n, j, x, y)
+            s = solver._block_vector(n, j, x, y)
             if key > best_key or (key == best_key and s < best_s):
                 best_key, best_s = key, s
     return best_key, best_s
@@ -196,7 +196,7 @@ def _assert_matches_the_four_point_scan(n, alphas):
     for alpha in alphas:
         p, q = alpha.numerator, alpha.denominator
         key, s = _four_point_scan(n, p, q, wgt)
-        want = (F(key, q * scale), s, solver._greedy_fill(s, n))
+        want = (F(key, q * scale), s, greedy_fill(s, n))
         objective, w = solve_alpha(n, alpha)
         assert (objective, w.s, w.r) == want, (n, alpha)
 
@@ -270,31 +270,70 @@ def test_windowed_scan_matches_the_reference_at_random_alpha(case):
     assert solve_alpha(n, alpha) == reference_solve_alpha(n, alpha)
 
 
-def _brute_window(n, alpha):
+def _closed_form_blocks(n):
+    """The start's blocks (j, x): j = isqrt(n) + 1, then isqrt(n), below
+    n; with c = n//(j+1) + 1 and y = n - j*c, x = c - y, or n//j where
+    y < 0."""
+    blocks = []
+    for j in (math.isqrt(n) + 1, math.isqrt(n)):
+        c = n // (j + 1) + 1
+        y = n - j * c
+        if j < n:
+            blocks.append((j, c - y if y >= 0 else n // j))
+    return blocks
+
+
+def _live_window(n, alpha, blocks):
     """The sizes j < n, falling, where j or j + 1 is live: i is live when
     (n - i)(i - alpha)/i^2 >= LB, checked at every i in 1..n. LB is the
-    most that the all-full vector (0) and the blocks with least size
-    j = isqrt(n) or one more, below n, add to the all-full objective:
-    x <= n/j, y at the ends of its range and around R/(j+1). A column of
-    size i holding c items adds (c - alpha)(n - i)/(n*i)."""
+    most that the all-full vector (0) and the blocks (j, x) add to the
+    all-full objective, y at the ends of its range and around R/(j+1).
+    A column of size i holding c items adds (c - alpha)(n - i)/(n*i)."""
     a, b = alpha.numerator, alpha.denominator
     lb = F(0)
-    root = math.isqrt(n)
-    for j in (root, root + 1):
-        if not 1 <= j < n:
-            continue
+    for j, x in blocks:
         k = j + 1
-        for x in range(1, n // j + 1):
-            rest = n - j * x
-            y_hi = min(n - x, (2 * n - j * x) // k) if k < n else 0
-            for y in {0, y_hi, min(rest // k, y_hi), min(rest // k + 1, y_hi)}:
-                t = min(rest, k * y)
-                gain = x * (b * j - a) * (n - j) * k + (b * t - a * y) * (n - k) * j
-                lb = max(lb, F(gain, b * n * j * k))
+        rest = n - j * x
+        y_hi = min(n - x, (2 * n - j * x) // k) if k < n else 0
+        for y in {0, y_hi, min(rest // k, y_hi), min(rest // k + 1, y_hi)}:
+            t = min(rest, k * y)
+            gain = x * (b * j - a) * (n - j) * k + (b * t - a * y) * (n - k) * j
+            lb = max(lb, F(gain, b * n * j * k))
     # (n - i)(i - alpha)/i^2 >= lb, cleared of the denominators of alpha and lb
     c, d = lb.numerator, lb.denominator
     live = [None] + [(n - i) * (b * i - a) * d >= c * b * i * i for i in range(1, n + 1)]
     return [j for j in range(n - 1, 0, -1) if live[j] or live[j + 1]]
+
+
+def _brute_window(n, alpha):
+    """The live sizes with LB from the start's two blocks."""
+    return _live_window(n, alpha, _closed_form_blocks(n))
+
+
+def _near_root_window(n, alpha):
+    """The live sizes with LB from every block of least size isqrt(n) or
+    one more, below n, as the scan took it before it read the start's two
+    blocks."""
+    root = math.isqrt(n)
+    blocks = [(j, x) for j in (root, root + 1) if 1 <= j < n for x in range(1, n // j + 1)]
+    return _live_window(n, alpha, blocks)
+
+
+def _record_best_block(monkeypatch):
+    """The blocks of each `_best_block` call the scan makes, as lists."""
+    calls = []
+    best_block = solver._best_block
+
+    def recording(n, p, q, blocks):
+        calls.append(list(blocks))
+        return best_block(n, p, q, calls[-1])
+
+    monkeypatch.setattr(solver, "_best_block", recording)
+    return calls
+
+
+def _walked(n, sizes):
+    return [(j, x) for j in sizes for x in range(1, n // j + 1)]
 
 
 def test_walk_visits_exactly_the_live_sizes(monkeypatch):
@@ -302,14 +341,7 @@ def test_walk_visits_exactly_the_live_sizes(monkeypatch):
     # and put the edge of the live interval on the size i = alpha, where
     # (n - i)(i - alpha) is zero; a live set is found by walking both ways
     # from the maximizer of h
-    calls = []
-
-    def recording(n, p, q, sizes):
-        calls.append(list(sizes))
-        return best_block(n, p, q, sizes)
-
-    best_block = solver._best_block
-    monkeypatch.setattr(solver, "_best_block", recording)
+    calls = _record_best_block(monkeypatch)
     rng = random.Random(26)
     for n in range(1, 201):
         root = math.isqrt(n)
@@ -319,8 +351,25 @@ def test_walk_visits_exactly_the_live_sizes(monkeypatch):
         for alpha in alphas:
             calls.clear()
             solve_alpha(n, alpha)
-            assert calls[0] == [j for j in (root, root + 1) if 1 <= j < n], (n, alpha)
-            assert calls[1] == _brute_window(n, alpha), (n, alpha)
+            assert calls[0] == _closed_form_blocks(n) == core._start_blocks(n), (n, alpha)
+            assert calls[1] == _walked(n, _brute_window(n, alpha)), (n, alpha)
+    # away from the start two blocks bound LB less tightly than every
+    # block of their sizes, so the window can be wider
+    calls.clear()
+    solve_alpha(19, F(17, 4))
+    assert calls[1] == _walked(19, range(12, 3, -1))
+    assert _near_root_window(19, F(17, 4)) == list(range(10, 4, -1))
+
+
+def test_certifying_step_walks_the_near_root_window(monkeypatch):
+    # at the start, p(n) at every n here, the two blocks set the same LB as
+    # every block of their sizes, so the certifying step walks no more
+    calls = _record_best_block(monkeypatch)
+    for n in range(1, 201):
+        start = core._start_ratio(n)
+        calls.clear()
+        solve_alpha(n, start)
+        assert calls[1] == _walked(n, _near_root_window(n, start)), n
 
 
 # Reference: the full search as it enumerated all C(2n-2, n-2) compositions
@@ -398,7 +447,27 @@ def test_full_dp_matches_the_enumeration():
         alphas.update(F(rng.randint(0, 3 * n), rng.randint(1, 40)) for _ in range(6))
         for alpha in alphas:
             p, q = alpha.numerator, alpha.denominator
-            assert solver._scan_full(n, p, q, wgt) == _scan_full(n, p, q, wgt), (n, alpha)
+            key, s, r = solver._scan_full(n, p, q, wgt)
+            assert (key, s) == _scan_full(n, p, q, wgt), (n, alpha)
+            assert r == greedy_fill(s, n), (n, alpha)
+
+
+def test_full_dp_reads_r_off_partial_columns_under_other_weights():
+    # with W(i) = lcm(1..n)/i no optimum has a column that the fill leaves
+    # part empty, so the traceback's t = min(i, n - f) is only exercised by
+    # other weights; the DP holds for any W with W(i) > W(n) for i < n
+    rng = random.Random(28)
+    partial = 0
+    for _ in range(400):
+        n = rng.randint(2, 8)
+        wgt = [0] + [rng.randint(2, 60) for _ in range(n - 1)] + [1]
+        q = rng.randint(1, 5)
+        p = rng.randint(0, 3 * n * q)
+        key, s, r = solver._scan_full(n, p, q, wgt)
+        assert (key, s) == _scan_full(n, p, q, wgt), (n, wgt, p, q)
+        assert r == greedy_fill(s, n), (n, wgt, p, q)
+        partial += any(0 < r[i] < (i + 1) * s[i] for i in range(n - 1))
+    assert partial > 0
 
 
 # Reference: the full search as a DP over (columns used, items filled)
@@ -445,8 +514,10 @@ def test_items_only_dp_matches_the_column_dp():
             alphas.update(F(k) for k in range(2, n))
         for alpha in alphas:
             p, q = alpha.numerator, alpha.denominator
-            got = solver._scan_full(n, p, q, wgt)
-            assert got == _scan_full_by_columns(n, p, q, wgt), (n, alpha)
+            key, s, r = solver._scan_full(n, p, q, wgt)
+            assert (key, s) == _scan_full_by_columns(n, p, q, wgt), (n, alpha)
+            # the traceback's t = min(i, n - f) per column is the greedy fill
+            assert r == greedy_fill(s, n), (n, alpha)
 
 
 # --- candidate generation ------------------------------------------------------
@@ -567,7 +638,7 @@ def _two_size_blocks(n):
                 s[j - 1] = x
                 s[j] += y
                 s[-1] += n - x - y
-                yield tuple(s), solver._greedy_fill(s, n)
+                yield tuple(s), greedy_fill(s, n)
 
 
 def test_start_lies_between_the_construction_and_p():
@@ -588,6 +659,26 @@ def test_start_lies_between_the_construction_and_p():
         assert start == max(ratio, construction_ratio(n)), n
         x = build_witness_matrix(s, r, n) if ratio == start else lower_construction(n)
         assert price_ratio(x).ratio == start, n
+
+
+def test_start_equals_the_reference_start():
+    # one step from the all-full ratio over the two closed-form blocks
+    # gives the best ratio of every block of their sizes
+    rng = random.Random("solver:start-reference")
+    sample = [rng.randrange(5001, 10**6 + 1) for _ in range(60)]
+    for n in [*range(1, 5001), *sample, 10**6]:
+        assert core._start_ratio(n) == reference_start_ratio(n), n
+
+
+def test_start_blocks_come_in_falling_size_order():
+    # at n = 3 and alpha = 1 the blocks (2, 1, y = 0) and (1, 1, y = 1)
+    # tie; the first strict maximum is p(3) = 8/7 only when the larger
+    # size comes first
+    assert core._start_blocks(3) == [(2, 1), (1, 1)]
+    num, den = core._best_block(3, 1, 1, [(2, 1), (1, 1)])[3:]
+    assert (F(num, den), core._start_ratio(3)) == (F(8, 7), F(8, 7))
+    num, den = core._best_block(3, 1, 1, [(1, 1), (2, 1)])[3:]
+    assert F(num, den) == F(12, 11)
 
 
 def test_warm_start_takes_one_step(monkeypatch):

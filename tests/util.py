@@ -17,7 +17,14 @@ draws on their raw weights; the library must emit the same stream.
 The reference restricted scan walks every block size j = n-1..1 on keys
 scaled by lcm(1..n), as the library did before it scored blocks on the
 small scale j*(j+1)*n and walked only the sizes its per-item bound leaves
-live; `solve_alpha` must return exactly its outputs.
+live; `solve_alpha` must return exactly its outputs. Its r is the greedy
+fill of s, computed apart from the scan, as the library did before each
+scan returned the r of the witness it chose.
+
+The reference start scores every block of sizes floor(sqrt n) and one
+more, as the library did before it took one Dinkelbach step from the
+all-full ratio over two closed-form blocks; `core._start_ratio` must
+equal it.
 
 The normalization steps reduce every worst case to columns that are uniform
 on their supports, which all three searches rest on. They are bare column
@@ -42,7 +49,7 @@ from envyprice.core import (
     price_ratio,
 )
 from envyprice.oracle import _ATTEMPTS, RejectionCapExceeded
-from envyprice.solver import StructuredWitness, _block_s, _greedy_fill
+from envyprice.solver import StructuredWitness, _block_vector
 
 
 def random_columns(rng, n, m, max_w=10):
@@ -415,6 +422,20 @@ def reference_fuzz_instances(n, count, seed):
 
 # --- reference restricted scan: every size, keys scaled by lcm(1..n) --------------
 
+def greedy_fill(s, n):
+    """Optimal r for fixed s: budget n poured into the smallest indices."""
+    r = [0] * len(s)
+    budget = n
+    for idx, si in enumerate(s):
+        if budget == 0:
+            break
+        if si:
+            take = min(budget, (idx + 1) * si)
+            r[idx] = take
+            budget -= take
+    return tuple(r)
+
+
 def reference_scan_restricted(n, p, q, wgt):
     """Best (key, s) over the restricted family, with W(i) = wgt[i] =
     lcm(1..n)/i: the key of a block relative to the all-full vector is
@@ -442,7 +463,7 @@ def reference_scan_restricted(n, p, q, wgt):
                 key += d * (q * t - p * y)
             if key > best_key:
                 best_key, best_block = key, (j, x, y)
-    return best_key + w_n * (q - p) * n, _block_s(n, *best_block)
+    return best_key + w_n * (q - p) * n, _block_vector(n, *best_block)
 
 
 def reference_solve_alpha(n, alpha):
@@ -453,7 +474,7 @@ def reference_solve_alpha(n, alpha):
     m = math.lcm(*range(1, n + 1))
     wgt = [0] + [m // i for i in range(1, n + 1)]
     key, s = reference_scan_restricted(n, p, q, wgt)
-    r = _greedy_fill(s, n)
+    r = greedy_fill(s, n)
     ratio = Fraction(sum(map(mul, r, wgt[1:])), sum(map(mul, s, wgt[1:])))
     return Fraction(key, q * m), StructuredWitness(s, r, ratio)
 
@@ -468,3 +489,23 @@ def reference_p_nn(n, alpha=Fraction(1)):
             return alphas, witness
         assert objective > 0, (n, alphas[-1])
         alphas.append(witness.ratio)
+
+
+def reference_start_ratio(n):
+    """The best ratio of the all-full vector (1) and every block of least
+    size j = floor(sqrt n) or one more, below n: x <= n/j columns of size
+    j, y = floor(R/(j+1)) of size j+1 for the R items they leave, the rest
+    full, filled greedily; compared on the scale j*(j+1)*n."""
+    best_num = best_den = 1
+    root = math.isqrt(n)
+    for j in range(root, min(root + 1, n - 1) + 1):
+        k = j + 1
+        for x in range(1, n // j + 1):
+            filled = j * x
+            y = (n - filled) // k
+            t = min(n - filled, k * y)
+            num = filled * k * n + t * j * n + (n - filled - t) * j * k
+            den = x * k * n + y * j * n + (n - x - y) * j * k
+            if num * best_den > best_num * den:
+                best_num, best_den = num, den
+    return Fraction(best_num, best_den)
