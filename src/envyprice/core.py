@@ -312,7 +312,10 @@ class UtilityMatrix:
                 total = sum(col)
                 if total != scale:
                     raise ColumnNotNormalized(j + 1, Fraction(total, scale))
-        common = scale  # the gcd of scale and every entry
+        # the gcd of scale and every entry divides the gcd of scale and one
+        # nonzero entry per column (each column sums to scale >= 1), which
+        # is 1 for most matrices; only above 1 does the full scan run
+        common = math.gcd(scale, *[next(filter(None, col)) for col in distinct])
         for col in distinct:
             if common == 1:
                 break
@@ -457,14 +460,12 @@ def optimal_welfare(x: UtilityMatrix) -> tuple[Fraction, Allocation]:
 def is_envy_free(x: UtilityMatrix, allocation: Sequence[int]) -> bool:
     """True iff no agent values another agent's bundle above its own."""
     _check_allocation(x, allocation)
-    n, grid = x.n, x.grid
-    bundles = [[0] * n for _ in range(n)]  # bundles[j][g] = value of g's bundle to j
-    for i, owner in enumerate(allocation):
-        for j in range(n):
-            bundles[j][owner] += grid[j][i]
-    for j in range(n):
-        own = bundles[j][j]
-        if any(bundles[j][g] > own for g in range(n)):
+    n = x.n
+    for j, col in enumerate(x.grid):
+        bundles = [0] * n  # bundles[g] = value of g's bundle to agent j
+        for v, owner in zip(col, allocation):
+            bundles[owner] += v
+        if max(bundles) > bundles[j]:
             return False
     return True
 
@@ -697,21 +698,28 @@ class WelfareReport:
 def price_ratio(x: UtilityMatrix) -> WelfareReport:
     """Per-instance price of envy-freeness u*(x) / u*_f(x).
 
-    Square instances go through the matching characterization; all others go
-    through the exact branch and bound of `envy_free_optimal_exhaustive`,
-    which raises SearchSpaceTooLarge when n^m exceeds EXHAUSTIVE_CAP. The
-    ratio is absent exactly when the instance admits no envy-free allocation.
+    Square instances go through the matching characterization. For all
+    others SearchSpaceTooLarge is raised when n^m exceeds EXHAUSTIVE_CAP;
+    below it, an envy-free welfare-optimal allocation (the one
+    `optimal_welfare` returns) certifies u*_f = u* and ratio 1 at once, and
+    otherwise the exact branch and bound of `envy_free_optimal_exhaustive`
+    finds u*_f. The ratio is absent exactly when the instance admits no
+    envy-free allocation.
 
     >>> u = UtilityMatrix.from_strings([["1/2", "1/2"], ["1/2", "1/2"]])
     >>> price_ratio(u)
     WelfareReport(optimal=Fraction(1, 1), envy_free_optimal=Fraction(1, 1), ratio=Fraction(1, 1))
     """
-    opt, _ = optimal_welfare(x)
+    opt, owners = optimal_welfare(x)
     if x.m == x.n:
         fair = envy_free_optimal_welfare(x)
     else:
-        found = envy_free_optimal_exhaustive(x)
-        fair = None if found is None else found[0]
+        _check_allocation_count(x.n, x.m, EXHAUSTIVE_CAP)
+        if is_envy_free(x, owners):
+            fair = opt
+        else:
+            found = envy_free_optimal_exhaustive(x)
+            fair = None if found is None else found[0]
     if fair is None:
         return WelfareReport(opt, None, None)
     return WelfareReport(opt, fair, opt / fair)

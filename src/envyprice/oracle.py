@@ -32,14 +32,16 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 from itertools import chain
 from operator import add
-from typing import Iterator
+from typing import Iterator, Optional
 
 from .core import (
     UtilityMatrix,
     _all_ints,
     _check_n,
+    _hopcroft_karp,
     _is_int,
     dinkelbach,
     envy_free_matching,
@@ -49,6 +51,7 @@ __all__ = [
     "VertexConfig",
     "LayoutInfeasible",
     "RejectionCapExceeded",
+    "FuzzCheckFailed",
     "oracle_p_nn",
     "realize_config",
     "fuzz_instances",
@@ -71,6 +74,19 @@ class RejectionCapExceeded(RuntimeError):
         super().__init__(
             f"aggregate attempt budget {budget} exhausted at instance "
             f"{instance}"
+        )
+
+
+class FuzzCheckFailed(RuntimeError):
+    """A draw whose raw weights admit a perfect matching on the column
+    maxima has no envy-free matching once normalized. Normalizing keeps
+    every column's argmax, so this is a defect, not an input error."""
+
+    def __init__(self, instance: int):
+        self.instance = instance
+        super().__init__(
+            f"fuzz instance {instance}: the raw-weight matching and "
+            f"envy_free_matching disagree"
         )
 
 
@@ -247,25 +263,86 @@ def _randrange17_block(getrandbits, words: int) -> bytes:
     return raw[3::4].translate(_TOP5, delete=_OVER16)
 
 
-def _max_cover(cols: list[bytes]) -> int:
-    """Bitmask of the items at which some column attains its maximum, every
-    such item on ties."""
-    covered = 0
-    for col in cols:
-        top = max(col)
-        i = col.index(top)
-        while i >= 0:
-            covered |= 1 << i
-            i = col.find(top, i + 1)
-    return covered
+def _block_words(n: int) -> int:
+    """Words per refill block. A word gives a value with probability 17/32,
+    so 32 n^2 words hold about 17 draws of n^2 values. The block is capped
+    at 2^16 words (256 KiB), so that at large n it stays near one draw, but
+    it never falls below 2 n^2 words, which hold about one draw."""
+    return max(2 * n * n, min(32 * n * n, 1 << 16))
+
+
+def _hall_windows(values: bytes, n: int) -> tuple[bytes, bytes]:
+    """Two bytes per whole column of n values (each below 128): the column's
+    maximum, and 1 when the n columns from it on have a maximum at every
+    item, else 0. That is Hall's condition on the set of all agents for a
+    draw that starts at the column, so a draw failing it has no perfect
+    matching on its column maxima.
+
+    Item i's values across the columns are the bytes values[i::n], read as
+    one integer with a byte lane per column, and all lanes are compared at
+    once: (a | 0x80) - b has bit 7 of a lane set exactly when a >= b, and no
+    lane borrows from the next, since every value is below 128. This gives
+    the lane-wise maximum, then the lanes where item i attains it; shifts by
+    doubling widths then OR each lane with the n - 1 lanes above it.
+    """
+    cols = len(values) // n
+    lanes = partial(int.from_bytes, byteorder="little")
+    high, ones = lanes(b"\x80" * cols), lanes(b"\x01" * cols)
+
+    def at_least(a: int, b: int) -> int:  # 1 in each lane where a >= b, else 0
+        return (((a | high) - b) >> 7) & ones
+
+    items = [lanes(values[i : cols * n : n]) for i in range(n)]
+    top = items[0]
+    for v in items[1:]:
+        top ^= (v ^ top) & at_least(v, top) * 255
+    width = 1 << (n.bit_length() - 1)  # the largest power of 2 up to n
+    covered = ones
+    for v in items:
+        hit = at_least(v, top)
+        step = 1
+        while step < width:
+            hit |= hit >> (8 * step)
+            step *= 2
+        covered &= hit | hit >> (8 * (n - width))
+    return top.to_bytes(cols, "little"), covered.to_bytes(cols, "little")
+
+
+def _first_matched_draw(getrandbits, n: int, limit: int) -> tuple[Optional[list[bytes]], int]:
+    """The columns of the first of at most `limit` draws of the randrange(17)
+    stream whose column maxima admit a perfect matching, or None, and the
+    number of draws taken. A draw takes n columns of n values and ends early
+    at its first all-zero column. Every whole draw a refill block holds is
+    tested on the block's `_hall_windows`; the few that pass go through
+    `_hopcroft_karp` on their raw argmax lists."""
+    words = _block_words(n)
+    buf, drawn = b"", 0
+    while drawn < limit:
+        buf += _randrange17_block(getrandbits, words)
+        tops, covered = _hall_windows(buf, n)
+        start = 0  # the first column of the draw
+        while start + n <= len(tops) and drawn < limit:
+            drawn += 1
+            zero = tops.find(0, start, start + n)
+            if zero >= 0:
+                start = zero + 1
+                continue
+            if covered[start]:
+                cols = [buf[i : i + n] for i in range(start * n, (start + n) * n, n)]
+                argmax = [[i for i, v in enumerate(col) if v == top]
+                          for col, top in zip(cols, tops[start : start + n])]
+                if -1 not in _hopcroft_karp(argmax, n):
+                    return cols, drawn
+            start += n
+        buf = buf[start * n :]
+    return None, drawn
 
 
 def fuzz_instances(n: int, count: int, seed: int) -> Iterator[UtilityMatrix]:
     """Deterministic stream of valid m = n matrices admitting envy-free
     allocations: integer weights in 0..16 normalized per column, rejection
     sampling against an aggregate budget of _ATTEMPTS * count draws shared
-    by the whole stream. Every raw draw counts against the budget, rejected
-    before a matrix is built or not.
+    by the whole stream. Every raw draw counts against the budget.
 
     The fraction of draws admitting an envy-free matching shrinks with n
     (unique column maxima alone give roughly n!/n^n), so a fixed cap per
@@ -275,18 +352,19 @@ def fuzz_instances(n: int, count: int, seed: int) -> Iterator[UtilityMatrix]:
     emitted matrices do not depend on the budget.
 
     A draw takes n columns of n weights, each weight rng.randrange(17), and
-    stops early at its first all-zero column, which rejects it. Before any
-    matrix is built, a draw is rejected when fewer than n items attain some
-    column's maximum: Hall's condition on the set of all agents then fails,
-    so `envy_free_matching` finds no perfect matching. Normalizing scales each
-    column by a positive factor, which keeps its argmax, so the check on raw
-    weights is exact; a draw that passes still goes through `from_weights`
-    and `envy_free_matching`.
+    stops early at its first all-zero column, which rejects it. An m = n
+    allocation is envy-free exactly when it matches every agent to an item
+    at its column maximum (`envy_free_matching`), and normalizing scales
+    each column by a positive factor, which keeps its argmax. So draws are
+    tested on their raw weights (`_first_matched_draw`), a refill block at
+    a time, and only the draw that is emitted becomes a matrix: one
+    `from_weights` and one `envy_free_matching` per emitted instance. Should
+    that matching disagree with the raw one, FuzzCheckFailed is raised.
 
-    The weights are drawn a block of 2 n^2 words at a time
-    (`_randrange17_block`): randrange(17) is getrandbits(5), the top 5 bits
-    of one 32-bit word, drawn again while >= 17, and getrandbits(32 * k)
-    returns k words with the first in the lowest bits. So the values are
+    The weights are drawn a block of `_block_words(n)` words at a time
+    (`_randrange17_block`): randrange(17) is getrandbits(5), the top 5
+    bits of one 32-bit word, drawn again while >= 17, and getrandbits(32 *
+    k) returns k words with the first in the lowest bits. So the values are
     those of successive randrange(17) calls. Each instance's generator is
     discarded after its accepted draw, so reading past it changes nothing.
     """
@@ -299,27 +377,13 @@ def fuzz_instances(n: int, count: int, seed: int) -> Iterator[UtilityMatrix]:
         raise ValueError(f"seed must be an int, got {seed!r}")
     budget = _ATTEMPTS * count
     used = 0
-    need = n * n
-    every_item = (1 << n) - 1
-    zero = bytes(n)
     for idx in range(count):
         getrandbits = random.Random(f"fuzz:{seed}:{idx}").getrandbits
-        buf, pos = b"", 0
-        while True:
-            if used >= budget:
-                raise RejectionCapExceeded(idx, budget)
-            used += 1
-            while len(buf) - pos < need:
-                buf = buf[pos:] + _randrange17_block(getrandbits, 2 * need)
-                pos = 0
-            cols = [buf[i : i + n] for i in range(pos, pos + need, n)]
-            if zero in cols:
-                pos += (cols.index(zero) + 1) * n  # the draw ends at its first zero column
-                continue
-            pos += need
-            if _max_cover(cols) != every_item:
-                continue
-            x = UtilityMatrix.from_weights(list(map(list, cols)))
-            if envy_free_matching(x) is not None:
-                yield x
-                break
+        cols, drawn = _first_matched_draw(getrandbits, n, budget - used)
+        used += drawn
+        if cols is None:
+            raise RejectionCapExceeded(idx, budget)
+        x = UtilityMatrix.from_weights(cols)
+        if envy_free_matching(x) is None:
+            raise FuzzCheckFailed(idx)
+        yield x

@@ -40,6 +40,7 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from itertools import compress
 from operator import mul
 from typing import Iterator, Optional, Sequence
 
@@ -275,7 +276,7 @@ def _scan_full(
 def _witness_ratio(s: Sequence[int], r: Sequence[int]) -> Fraction:
     """(sum r_i/i) / (sum s_i/i) over the lcm of the sizes i with s_i > 0,
     which also holds every i with r_i > 0, since r_i <= i*s_i."""
-    sizes = [i for i, si in enumerate(s, 1) if si]
+    sizes = list(compress(range(1, len(s) + 1), s))
     scale = math.lcm(*sizes)
     num = sum(r[i - 1] * (scale // i) for i in sizes)
     den = sum(s[i - 1] * (scale // i) for i in sizes)

@@ -10,6 +10,7 @@ searches over.
 
 from __future__ import annotations
 
+from itertools import compress
 from operator import gt, mul
 from typing import Sequence
 
@@ -44,14 +45,14 @@ def _check_witness_vectors(s: Sequence[int], r: Sequence[int], n: int) -> None:
         raise InvalidWitness(f"n must be positive, got {n}")
     if len(s) != n or len(r) != n:
         raise InvalidWitness(f"s and r must have {n} entries")
-    values = (*s, *r)
-    if not _all_ints(values) or min(values) < 0:
+    if not (_all_ints(s) and _all_ints(r)) or min(s) < 0 or min(r) < 0:
         raise InvalidWitness("s and r must be nonnegative integers")
     if sum(s) != n:
         raise InvalidWitness(f"sum(s) = {sum(s)}, expected {n}")
     if sum(r) != n:
         raise InvalidWitness(f"sum(r) = {sum(r)}, expected {n}")
-    if any(map(gt, r, map(mul, range(1, n + 1), s))):
+    # r_i <= i*s_i holds wherever r_i = 0, so only the positive r_i are tested
+    if any(map(gt, compress(r, r), map(mul, compress(range(1, n + 1), r), compress(s, r)))):
         # name the first index over its cap
         for i, (si, ri) in enumerate(zip(s, r), 1):
             if ri > i * si:

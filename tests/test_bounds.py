@@ -306,6 +306,28 @@ def test_explore_witness_returns_certified_instance():
     assert price_ratio(x).ratio == ratio
 
 
+@pytest.mark.parametrize(
+    "n, m, seed, ratio, grid, scale",
+    [
+        (2, 5, 1, F(1), ((2, 2, 2, 0, 0), (0, 0, 0, 3, 3)), 6),
+        (2, 5, 2, F(869, 728), ((270, 27, 54, 54, 270), (175, 175, 100, 50, 175)), 675),
+        (2, 5, 3, F(689, 633), ((85, 34, 170, 85, 153), (155, 93, 31, 62, 186)), 527),
+        (3, 5, 0, F(119, 99), ((306, 0, 0, 340, 136), (170, 204, 170, 68, 170), (207, 115, 69, 230, 161)), 782),
+        (3, 5, 1, F(335, 261), ((20, 15, 65, 50, 40), (76, 76, 0, 38, 0), (0, 19, 76, 38, 57)), 190),
+        (3, 5, 2, F(1315, 1002), ((1008, 112, 112, 224, 1120), (460, 552, 460, 368, 736), (805, 161, 0, 805, 805)), 2576),
+        (2, 6, 0, F(1), ((1, 1, 1, 0, 0, 0), (0, 0, 0, 1, 1, 1)), 3),
+        (2, 6, 3, F(55, 51), ((96, 64, 176, 112, 128, 80), (164, 0, 0, 246, 205, 41)), 656),
+        (2, 6, 5, F(521, 499), ((200, 200, 180, 0, 60, 120), (57, 152, 133, 190, 152, 76)), 760),
+    ],
+)
+def test_explore_results_are_pinned(n, m, seed, ratio, grid, scale):
+    # recorded with the branch and bound run on every off-square
+    # certification, on the benchmark's shapes and budget; certifying ratio 1
+    # from an envy-free welfare optimum must not move them
+    got, x = explore_witness(n, m, 40, seed)
+    assert (got, x.grid, x.scale) == (ratio, grid, scale)
+
+
 def test_explore_monotone_in_m_when_reseeded():
     ratio, x = explore_witness(2, 2, 60, seed=1)
     values = [ratio]

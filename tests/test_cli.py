@@ -9,6 +9,7 @@ import pytest
 from click.testing import CliRunner
 
 from envyprice import cli
+from envyprice.bounds import _segmented_columns
 from envyprice.cli import main
 from envyprice.core import UtilityMatrix, write_instance
 from envyprice.solver import KNOWN_RATIOS, read_witness, solve_p_nn, witness_to_dict
@@ -286,6 +287,16 @@ def test_check_guard_is_an_input_error(tmp_path):
     result = invoke("check", str(path))
     assert result.exit_code == 2
     assert result.output == "SearchSpaceTooLarge: 2^20000 allocations exceed cap 10000000\n"
+
+
+def test_check_guard_holds_when_the_optimum_is_envy_free(tmp_path):
+    # the welfare optimum of the segmented 2 x 24 instance is envy-free, but
+    # its 2^24 allocations exceed the cap, so check refuses it as before
+    path = tmp_path / "segmented.json"
+    write_instance(UtilityMatrix.from_weights(_segmented_columns(2, 24)), str(path))
+    result = invoke("check", str(path))
+    assert result.exit_code == 2
+    assert result.output == "SearchSpaceTooLarge: 16777216 allocations exceed cap 10000000\n"
 
 
 # --- the README's examples ------------------------------------------------------------

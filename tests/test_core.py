@@ -19,7 +19,7 @@ import hypothesis.strategies as st
 
 import envyprice.core
 import envyprice.oracle
-from envyprice.bounds import check_upper_bound, g_of_d, lower_construction
+from envyprice.bounds import _segmented_columns, check_upper_bound, g_of_d, lower_construction
 from envyprice.core import (
     Allocation,
     ColumnNotNormalized,
@@ -538,6 +538,47 @@ def test_exhaustive_cap():
             envy_free_optimal_exhaustive(x)
         with pytest.raises(SearchSpaceTooLarge, match=message):
             price_ratio(x)
+
+
+def test_envy_free_optimum_keeps_the_cap():
+    # the segmented 2 x 24 instance's welfare optimum is envy-free, which
+    # certifies ratio 1 at once, yet its 2^24 allocations still exceed the cap
+    x = UtilityMatrix.from_weights(_segmented_columns(2, 24))
+    assert is_envy_free(x, optimal_welfare(x)[1])
+    with pytest.raises(SearchSpaceTooLarge, match="SearchSpaceTooLarge: 16777216 allocations exceed cap 10000000"):
+        price_ratio(x)
+
+
+def test_price_ratio_off_square_matches_enumeration_with_and_without_an_envy_free_optimum():
+    # price_ratio skips the branch and bound when the welfare-optimal
+    # allocation is envy-free; half the draws favour that by giving each
+    # item a heavy owner, and both kinds must match the literal enumeration
+    rng = random.Random("core:offsquare:shortcut")
+    envy_free_optimum = other = 0
+    for trial in range(160):
+        n = rng.randint(2, 3)
+        m = rng.randint(n + 1, n + 3)
+        if trial % 2:
+            owner = [rng.randrange(n) for _ in range(m)]
+            weights = [[rng.randint(8, 12) if owner[i] == j else rng.randint(0, 3) for i in range(m)]
+                       for j in range(n)]
+            cols = [tuple(Fraction(w, sum(col)) for w in col) for col in weights]
+        else:
+            cols = random_columns(rng, n, m)
+        x = UtilityMatrix.from_columns(cols)
+        opt, ef = brute_optimum(cols), brute_ef_optimum(cols)
+        report = price_ratio(x)
+        assert report.optimal == opt
+        if ef is None:
+            assert report.ratio is None
+            other += 1
+        else:
+            assert (report.envy_free_optimal, report.ratio) == (ef[0], opt / ef[0])
+            if is_envy_free(x, optimal_welfare(x)[1]):
+                envy_free_optimum += 1
+            else:
+                other += 1
+    assert envy_free_optimum > 40 and other > 40
 
 
 def test_no_envy_free_allocation():

@@ -3,7 +3,7 @@ import hashlib
 import random
 import time
 from fractions import Fraction
-from itertools import chain, combinations_with_replacement, cycle
+from itertools import chain, combinations_with_replacement
 from pathlib import Path
 
 import pytest
@@ -11,10 +11,13 @@ import pytest
 import envyprice.oracle
 from envyprice.core import ColumnNotNormalized, UtilityMatrix, envy_free_matching, price_ratio
 from envyprice.oracle import (
+    FuzzCheckFailed,
     LayoutInfeasible,
     RejectionCapExceeded,
     VertexConfig,
-    _max_cover,
+    _block_words,
+    _first_matched_draw,
+    _hall_windows,
     _oracle_dp,
     _randrange17_block,
     fuzz_instances,
@@ -23,7 +26,8 @@ from envyprice.oracle import (
 )
 from envyprice.solver import KNOWN_RATIOS, solve_p_nn
 from envyprice.structure import build_witness_matrix
-from util import _compat_adjacency, reference_fuzz_instances
+import util
+from util import _compat_adjacency, reference_draw, reference_fuzz_instances
 
 F = Fraction
 
@@ -354,14 +358,13 @@ def test_fuzz_draw_equals_randrange_17():
     # blocks, concatenated, must give the same values in the same order. The
     # generator's state is not compared: a block reads past the last value a
     # draw uses, and each instance's generator is discarded after its draw.
+    # The sizes are 32 n^2 words for small n, the 2^16 cap, and 2 n^2 above it.
+    sizes = [_block_words(n) for n in (*range(1, 10), 45, 46, 181, 200)]
+    assert sizes[-4:] == [64800, 1 << 16, 1 << 16, 80000]
     for seed in ("fuzz:0:0", "fuzz:3:41", 7, 2**70 + 1):
         ref, rng = random.Random(seed), random.Random(seed)
-        drawn = b""
-        for words in cycle([2 * n * n for n in range(1, 9)]):  # the fuzzer's block sizes
-            if len(drawn) >= 40000:
-                break
-            drawn += _randrange17_block(rng.getrandbits, words)
-        assert list(drawn[:40000]) == [ref.randrange(17) for _ in range(40000)]
+        drawn = b"".join(_randrange17_block(rng.getrandbits, words) for words in sizes)
+        assert list(drawn) == [ref.randrange(17) for _ in range(len(drawn))]
 
 
 def _emitted(fuzz, n, count, seed):
@@ -376,13 +379,50 @@ def _emitted(fuzz, n, count, seed):
     return out, None
 
 
-@pytest.mark.parametrize("n", range(1, 9))
+@pytest.mark.parametrize("n", range(1, 10))
 def test_fuzz_stream_equals_the_reference(n):
     # the reference draws one weight per call and builds a matrix for every
-    # draw; at n = 1 and 2 a block of 2 n^2 words often holds fewer than n^2
-    # values, so the buffer refills more than once before a draw
-    for seed in (0, 1, 4, 13):
+    # draw; at n = 1 and 2 draws often end at a zero column, and at n = 9
+    # most seeds run out of budget
+    for seed in (0, 1, 4, 13, 21, 34):
         assert _emitted(fuzz_instances, n, 12, seed) == _emitted(reference_fuzz_instances, n, 12, seed)
+
+
+@pytest.mark.parametrize("attempts", [1, 2, 3])
+@pytest.mark.parametrize("n", [1, 2, 3, 5])
+def test_fuzz_runs_out_where_the_reference_does_on_small_budgets(monkeypatch, n, attempts):
+    # a budget of a few draws per instance runs out inside a refill block
+    monkeypatch.setattr(envyprice.oracle, "_ATTEMPTS", attempts)
+    monkeypatch.setattr(util, "_ATTEMPTS", attempts)
+    want = [_emitted(reference_fuzz_instances, n, 30, seed) for seed in range(8)]
+    assert [_emitted(fuzz_instances, n, 30, seed) for seed in range(8)] == want
+    if attempts == 1 or n > 2:
+        assert any(stop is not None for _, stop in want)
+
+
+@pytest.mark.parametrize("n", [1, 2, 4])
+def test_first_matched_draw_stops_at_every_limit(n):
+    # the limit can fall on any draw of a block, a zero-column draw included
+    # (common at n = 1 and 2 only); a limit short of the accepted draw spends
+    # exactly the limit
+    zero_draws = 0
+    for idx in range(300 if n == 2 else 40):
+        key = f"fuzz:5:{idx}"
+        rng, accepted = random.Random(key), 0
+        while True:
+            accepted += 1
+            cols = reference_draw(rng.getrandbits, n)
+            if cols is None:
+                zero_draws += 1
+            elif envy_free_matching(UtilityMatrix.from_weights(cols)) is not None:
+                break
+        for limit in range(accepted + 2):
+            got = _first_matched_draw(random.Random(key).getrandbits, n, limit)
+            if limit < accepted:
+                assert got == (None, limit)
+            else:
+                assert got == (list(map(bytes, cols)), accepted)
+    assert zero_draws >= 2 or n > 2
 
 
 def test_fuzz_stream_equals_the_reference_at_n_300():
@@ -398,37 +438,88 @@ def test_fuzz_runs_out_where_the_reference_does(args, where):
     assert _emitted(fuzz_instances, *args) == ref
 
 
+def _grid_columns(rng, n, count, odds=16):
+    """count seeded weight columns of n values: one in `odds` is all zero,
+    and five in `odds` have forced ties at the column maximum."""
+    cols = []
+    for _ in range(count):
+        col = [rng.randrange(17) for _ in range(n)]
+        kind = rng.randrange(odds)
+        if kind == 0:
+            col = [0] * n
+        elif kind <= 5:
+            top = max(col)
+            for i in rng.sample(range(n), rng.randint(1, n)):
+                col[i] = top
+        cols.append(col)
+    return cols
+
+
 def test_fuzz_precheck_rejects_only_grids_without_an_envy_free_matching():
-    # seeded weight grids with forced ties at the column maximum and some
-    # all-zero columns; the raw-weight check must be Hall's condition on the
-    # set of all agents in the normalized matrix, and a grid it rejects has
-    # no envy-free matching
+    # the raw-weight check must be Hall's condition on the set of all agents
+    # in the normalized matrix, and a grid it rejects has no envy-free
+    # matching; a zero column reads as a zero maximum
     rng = random.Random(24)
     rejected = 0
     for n in range(1, 9):
         for _ in range(300):
-            cols = []
-            for _ in range(n):
-                col = [rng.randrange(17) for _ in range(n)]
-                kind = rng.randrange(16)
-                if kind == 0:
-                    col = [0] * n
-                elif kind <= 5:
-                    top = max(col)
-                    for i in rng.sample(range(n), rng.randint(1, n)):
-                        col[i] = top
-                cols.append(col)
+            cols = _grid_columns(rng, n, n)
+            tops, covered = _hall_windows(bytes(chain.from_iterable(cols)), n)
+            assert tops == bytes(map(max, cols))
             if [0] * n in cols:
                 with pytest.raises(ColumnNotNormalized):
                     UtilityMatrix.from_weights(cols)
                 continue
             x = UtilityMatrix.from_weights(cols)
-            passes = _max_cover(list(map(bytes, cols))) == (1 << n) - 1
+            passes = covered[0] == 1
             assert passes == (len(set(chain.from_iterable(_compat_adjacency(x)))) == n)
             if not passes:
                 rejected += 1
                 assert envy_free_matching(x) is None
     assert rejected > 400  # 467 of the 2 400 grids
+
+
+@pytest.mark.parametrize("n", [*range(1, 10), 16, 17, 33])
+def test_hall_windows_hold_at_every_column_of_a_block(n):
+    # a block holds many draws, and a draw may start at any column: every
+    # window of n columns is tested at once, and a partial column is dropped.
+    # The first window has a distinct strict maximum per column, so it passes;
+    # past n = 9, forced ties and zero columns grow rarer so that some fail.
+    rng = random.Random(n)
+    first = [[16 if i == j else rng.randrange(16) for i in range(n)] for j in range(n)]
+    cols = first + _grid_columns(rng, n, 4 * n + 8, 16 if n < 10 else 8 * n)
+    tail = bytes(rng.randrange(17) for _ in range(n - 1))
+    tops, covered = _hall_windows(bytes(chain.from_iterable(cols)) + tail, n)
+    assert tops == bytes(map(max, cols))
+    assert len(covered) == len(cols)
+    flags = []
+    for start in range(len(cols) - n + 1):
+        window = cols[start : start + n]
+        hit = {i for col in window for i, v in enumerate(col) if v == max(col)}
+        flags.append(len(hit) == n)
+        assert covered[start] == flags[-1]
+    assert flags[0] and (not all(flags) or n == 1)
+
+
+def test_fuzz_builds_one_matrix_per_emitted_instance(monkeypatch):
+    built = []
+    from_weights = UtilityMatrix.from_weights.__func__
+
+    def counted(cls, weights):
+        built.append(len(weights))
+        return from_weights(cls, weights)
+
+    monkeypatch.setattr(UtilityMatrix, "from_weights", classmethod(counted))
+    for n in (5, 6, 7):
+        built.clear()
+        assert len(list(fuzz_instances(n, 40, seed=2))) == 40
+        assert built == [n] * 40
+
+
+def test_fuzz_raises_a_typed_error_when_the_matchings_disagree(monkeypatch):
+    monkeypatch.setattr(envyprice.oracle, "envy_free_matching", lambda x: None)
+    with pytest.raises(FuzzCheckFailed, match="fuzz instance 0: the raw-weight matching"):
+        next(fuzz_instances(3, 2, seed=0))
 
 
 @pytest.mark.parametrize(

@@ -11,8 +11,9 @@ the library must return exactly its outputs.
 
 The reference fuzzer draws every weight with its own call for 5 random
 bits and builds and tests a matrix for every draw without a zero column, as
-the library did before it drew a block of words at a time and rejected
-draws on their raw weights; the library must emit the same stream.
+the library did before it drew a block of words at a time, tested every
+draw of a block on its raw weights at once and built a matrix only for the
+draw it emits; the library must emit the same stream.
 
 The reference restricted scan walks every block size j = n-1..1 on keys
 scaled by lcm(1..n), as the library did before it scored blocks on the
@@ -390,6 +391,25 @@ def _hopcroft_karp(adj: list[list[int]], n_right: int) -> list[int]:
 
 # --- reference fuzzer: one getrandbits call per weight, a matrix per draw ---------
 
+def reference_draw(getrandbits, n):
+    """One draw: n columns of n weights, or None when it ends at its first
+    all-zero column."""
+    cols = []
+    for _ in range(n):
+        weights = []
+        for _ in range(n):
+            # rng.randrange(17), inlined: the same rejection loop over 5
+            # random bits, so the same stream
+            v = getrandbits(5)
+            while v >= 17:
+                v = getrandbits(5)
+            weights.append(v)
+        if not any(weights):
+            return None
+        cols.append(weights)
+    return cols
+
+
 def reference_fuzz_instances(n, count, seed):
     budget = _ATTEMPTS * count
     used = 0
@@ -399,20 +419,8 @@ def reference_fuzz_instances(n, count, seed):
             if used >= budget:
                 raise RejectionCapExceeded(idx, budget)
             used += 1
-            cols = []
-            for _ in range(n):
-                weights = []
-                for _ in range(n):
-                    # rng.randrange(17), inlined: the same rejection loop
-                    # over 5 random bits, so the same stream
-                    v = getrandbits(5)
-                    while v >= 17:
-                        v = getrandbits(5)
-                    weights.append(v)
-                if not any(weights):
-                    break
-                cols.append(weights)
-            if len(cols) < n:
+            cols = reference_draw(getrandbits, n)
+            if cols is None:
                 continue
             x = UtilityMatrix.from_weights(cols)
             if envy_free_matching(x) is not None:
