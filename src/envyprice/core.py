@@ -135,13 +135,12 @@ class RatioSearchFailed(RuntimeError):
 
 
 def construction_ratio(n: int) -> Fraction:
-    """Closed-form price ratio of lower_construction(n): with a = k =
-    floor(sqrt n), (a + (n-ak)/n) / (a/k + (n-a)/n)."""
+    """Price ratio of lower_construction(n), the paper's closed form
+    (a + (n-ak)/n) / (a/k + (n-a)/n) with a = k = floor(sqrt n): the block
+    of k columns of size k and none of size k+1, scored by `_block_score`."""
     _check_n(n)
-    a = k = math.isqrt(n)
-    num = a + Fraction(n - a * k, n)
-    den = Fraction(a, k) + Fraction(n - a, n)
-    return num / den
+    k = math.isqrt(n)
+    return Fraction(*_block_score(n, k, k, 0)[:2])
 
 
 def _block_score(n: int, j: int, x: int, y: int) -> tuple[int, int, int]:

@@ -41,7 +41,6 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from itertools import compress
-from operator import mul
 from typing import Iterator, Optional, Sequence
 
 from .core import (
@@ -119,26 +118,6 @@ class StructuredWitness:
             )
 
 
-def _restricted_blocks(n: int) -> Iterator[tuple[int, int, int]]:
-    """Blocks (j, x, y_hi) of the restricted family, keyed by least size.
-
-    A block's vectors have x >= 1 columns of support j, y columns of
-    support j+1 for each y in 0..y_hi, and full support on the other
-    n - x - y columns; with the all-full vector these are the whole
-    family, each vector once. Size j+1 = n is full support itself, so
-    there y_hi = 0. The columns below full support hold at most 2n items:
-    past that, dropping some of them keeps the filled numerator and
-    shrinks the denominator, so no optimum is lost. Blocks come with j
-    falling and x rising, so the walk, with y rising inside a block, is in
-    increasing lexicographic s after the all-full vector, the least s.
-    """
-    cap = 2 * n
-    for j in range(n - 1, 0, -1):
-        for x in range(1, min(n, cap // j) + 1):
-            y_hi = min(n - x, (cap - j * x) // (j + 1)) if j + 1 < n else 0
-            yield j, x, y_hi
-
-
 def _block_vector(n: int, j: int, a: int, b: int) -> tuple[int, ...]:
     """Dense vector summing to n: a at size j, b at j+1, the rest at n. Block
     (j, x, y) with t items at j+1 has s = (n, j, x, y) and r = (n, j, j*x, t)
@@ -152,14 +131,22 @@ def _block_vector(n: int, j: int, a: int, b: int) -> tuple[int, ...]:
 
 def lemma4_candidates(n: int) -> Iterator[tuple[int, ...]]:
     """The restricted s-vectors as full tuples, each summing to n, in
-    increasing order."""
+    increasing order: the all-full vector, the least s, then blocks (j, x)
+    with j falling and x rising. Block (j, x) has x >= 1 columns of size j,
+    y of size j+1 for y rising over 0..y_hi, and full support on the other
+    n - x - y columns; each vector comes once. Size j+1 = n is full support
+    itself, so there y_hi = 0. The columns below full support hold at most
+    2n items: past that, dropping some of them keeps the filled numerator
+    and shrinks the denominator, so no optimum is lost."""
     _check_n(n)
     if n < 2:
         raise ValueError("the restricted family needs n >= 2")
     yield _block_vector(n, n - 1, 0, 0)
-    for j, x, y_hi in _restricted_blocks(n):
-        for y in range(y_hi + 1):
-            yield _block_vector(n, j, x, y)
+    for j in range(n - 1, 0, -1):
+        for x in range(1, min(n, 2 * n // j) + 1):
+            y_hi = min(n - x, (2 * n - j * x) // (j + 1)) if j + 1 < n else 0
+            for y in range(y_hi + 1):
+                yield _block_vector(n, j, x, y)
 
 
 def _scan_restricted(
@@ -173,7 +160,7 @@ def _scan_restricted(
     in each j-column, k in each of the first lo = floor(R/k) k-columns,
     e = R - k*lo in the next and none after. So for k < n the objective is
     concave in y, and its least maximizer is 0 if q*k <= p, else lo, plus
-    one if q*e > p. Both lie in the range 0..y_hi of `_restricted_blocks`:
+    one if q*e > p. Both lie in the range 0..y_hi of `lemma4_candidates`:
     where the step gains, e > 0, so k*(lo+1) <= 2n - j*x and lo+1 <= n - x.
 
     x stops at floor(n/j): no block past it is a strict maximum. From
@@ -305,10 +292,10 @@ def solve_alpha(
         wgt = [0] + [m // i for i in range(1, n + 1)]
         key, s, r = _scan_full(n, p, q, wgt)
         objective = Fraction(key, q * m)
-        ratio = Fraction(sum(map(mul, r, wgt[1:])), sum(map(mul, s, wgt[1:])))
+        ratio = _witness_ratio(s, r)
     else:
         objective, s, r, ratio = _scan_restricted(n, p, q)
-    # StructuredWitness checks the scan's ratio against `_witness_ratio`
+    # StructuredWitness checks the restricted scan's ratio against `_witness_ratio`
     return objective, StructuredWitness(s, r, ratio)
 
 

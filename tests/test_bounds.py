@@ -18,7 +18,7 @@ from envyprice.bounds import (
     upper_g_max,
 )
 from envyprice.core import SearchSpaceTooLarge, price_ratio
-from envyprice.oracle import fuzz_instances
+from envyprice.oracle import fuzz_instances, oracle_p_nn, realize_config
 from envyprice.solver import KNOWN_RATIOS, lemma4_candidates, solve_p_nn
 from envyprice.structure import build_witness_matrix
 from util import pad_zero_rows
@@ -326,6 +326,39 @@ def test_explore_results_are_pinned(n, m, seed, ratio, grid, scale):
     # from an envy-free welfare optimum must not move them
     got, x = explore_witness(n, m, 40, seed)
     assert (got, x.grid, x.scale) == (ratio, grid, scale)
+
+
+def _zero_columns_in_first_restart(n, m, seed):
+    """All-zero columns that restart 0 of explore_witness draws and
+    redraws, from the same generator."""
+    rng = random.Random(f"explore:{seed}:0")
+    zeros = 0
+    for _ in range(n):
+        while not any([rng.randrange(11) for _ in range(m)]):
+            zeros += 1
+    return zeros
+
+
+@pytest.mark.parametrize(
+    "n, seed, ratio, grid, scale",
+    [
+        (2, 23, F(1), ((1, 0), (0, 1)), 1),
+        (3, 88, F(184, 169), ((46, 46, 46), (0, 69, 69), (30, 54, 54)), 138),
+    ],
+)
+def test_explore_redraws_an_all_zero_column(n, seed, ratio, grid, scale):
+    assert _zero_columns_in_first_restart(n, n, seed) == 1
+    got, x = explore_witness(n, n, 20, seed)
+    assert (got, x.grid, x.scale) == (ratio, grid, scale)
+
+
+def test_explore_climbs_from_optimal_seeds_certify_exactly_p():
+    # both seeds attain p(n), and no instance can certify above it
+    for n in range(2, 31):
+        w = solve_p_nn(n)
+        seeds = (build_witness_matrix(w.s, w.r, n), realize_config(oracle_p_nn(n)[1], n))
+        for seed in range(3):
+            assert explore_witness(n, n, 60, seed, seed_matrices=seeds)[0] == w.ratio, (n, seed)
 
 
 def test_explore_monotone_in_m_when_reseeded():

@@ -1,9 +1,11 @@
+import hashlib
 import json
 import re
 import time
 import weakref
 from fractions import Fraction
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 from click.testing import CliRunner
@@ -149,6 +151,22 @@ def test_verify_beyond_reference_table():
     assert result.output == "solver=180/97 oracle=180/97\n"
 
 
+def test_verify_reports_a_disagreeing_oracle(monkeypatch):
+    monkeypatch.setattr(cli, "oracle_p_nn", lambda n: (Fraction(1), None))
+    result = invoke("verify", "--n", "5")
+    assert result.exit_code == 1
+    assert result.stdout == "solver=60/43 oracle=1 reference=60/43\n"
+    assert result.stderr == "MISMATCH\n"
+
+
+def test_verify_reports_a_disagreeing_reference(monkeypatch):
+    monkeypatch.setattr(cli, "KNOWN_RATIOS", {**KNOWN_RATIOS, 5: Fraction(1)})
+    result = invoke("verify", "--n", "5")
+    assert result.exit_code == 1
+    assert result.stdout == "solver=60/43 oracle=60/43 reference=1\n"
+    assert result.stderr == "MISMATCH\n"
+
+
 # --- witness ------------------------------------------------------------------------
 
 def test_witness_file_round_trip(tmp_path):
@@ -264,6 +282,14 @@ def test_bounds_needs_exactly_one_selector():
     assert invoke("bounds", "--n", "3", "--to", "5").exit_code == 2
 
 
+@pytest.mark.parametrize("flag", ["--n", "--to"])
+def test_bounds_rejects_a_size_below_one(flag):
+    result = invoke("bounds", flag, "0")
+    assert result.exit_code == 2
+    assert f"need {flag} >= 1" in result.stderr
+    assert result.stdout == ""
+
+
 # --- explore -------------------------------------------------------------------------
 
 def test_explore_labels_its_output():
@@ -323,6 +349,30 @@ def test_readme_command_line_examples(tmp_path):
         assert result.output.startswith(shown) if elided else result.output == want, args
 
 
+# --- pinned output -------------------------------------------------------------------
+
+# sha256 of stdout: a refactor must keep every byte. All eight take about 0.9 s
+# through CliRunner on a 2-core x86 box (Python 3.11.7), most of it the
+# full search at n = 1000 and the bounds rows to 1200.
+PINNED_STDOUT = {
+    "table --to 300 --format json": "37b500c51093bb5e8c01da7f13a3c6f7fa4fcf162b9258170371aa7e03571c95",
+    "table --to 300 --approx": "2e1b8079e76e7ef78084d1f62fbf44d9051bd024d576e16a19b753b1f254a8f5",
+    "bounds --to 1200": "e93e047addb38501bbcc11499f9fe8e19f5bd80e77abcb61c36cef581710d39d",
+    "bounds --n 1000": "a334306d50b883a3fcd9d6575c2d03e0a85d2c0d6798fd752cac695fad6bb7b6",
+    "verify --n 200": "ed0d22ba37fd9a00574b50afc745cea7321a91fe3d2fb7f3475df648b18599ca",
+    "nn --n 1000 --search full": "95d6216d4e582303fad35dabde65377fd2cc74bb4ba2b101664411d0236cba20",
+    "fuzz --n 7 --count 300": "0df1786bd9e8ca183c8d74626c33c9f4a957b24473888dce70e95114f1425409",
+    "explore --n 3 --m 5 --budget 200 --seed 1": "87f368e2ec38edb452db42518e582dee7e1d1da909aa8a35889beae2eb60ff81",
+}
+
+
+@pytest.mark.parametrize("args", PINNED_STDOUT)
+def test_stdout_is_pinned(args):
+    result = invoke(*args.split())
+    assert (result.exit_code, result.stderr) == (0, "")
+    assert hashlib.sha256(result.stdout.encode()).hexdigest() == PINNED_STDOUT[args]
+
+
 # --- fuzz ----------------------------------------------------------------------------
 
 def test_fuzz_csv_is_deterministic_and_sound():
@@ -352,6 +402,16 @@ def test_fuzz_rejection_cap_is_an_input_error():
     assert lines[0] == "instance_id,ratio_num,ratio_den,bound_holds"
     assert [line.split(",")[0] for line in lines[1:]] == ["0", "1"]
     assert result.stderr == "aggregate attempt budget 300 exhausted at instance 2\n"
+
+
+def test_fuzz_exits_1_on_a_ratio_above_the_bound(monkeypatch):
+    monkeypatch.setattr(cli, "solve_p_nn", lambda n: SimpleNamespace(ratio=Fraction(1)))
+    result = invoke("fuzz", "--n", "5", "--count", "20")
+    assert result.exit_code == 1
+    rows = [line.split(",") for line in result.stdout.splitlines()[1:]]
+    assert len(rows) == 20
+    assert all(flag == ("true" if num == den else "false") for _, num, den, flag in rows)
+    assert any(flag == "false" for *_, flag in rows)
 
 
 # --- scale -----------------------------------------------------------------------------
