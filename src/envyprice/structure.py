@@ -10,8 +10,9 @@ searches over.
 
 from __future__ import annotations
 
-from itertools import compress
-from operator import gt, mul
+import math
+from fractions import Fraction
+from itertools import count
 from typing import Sequence
 
 from .core import UtilityMatrix, _all_ints, _is_int
@@ -38,25 +39,39 @@ class NonRealizable(ValueError):
         )
 
 
-def _check_witness_vectors(s: Sequence[int], r: Sequence[int], n: int) -> None:
+def _support(s: Sequence[int], r: Sequence[int], n: int) -> tuple:
+    """The entries (i, s_i, r_i) of dense s and r with s_i or r_i nonzero."""
     if not _is_int(n):
         raise InvalidWitness(f"n must be an int, got {n!r}")
     if n < 1:
         raise InvalidWitness(f"n must be positive, got {n}")
     if len(s) != n or len(r) != n:
         raise InvalidWitness(f"s and r must have {n} entries")
-    if not (_all_ints(s) and _all_ints(r)) or min(s) < 0 or min(r) < 0:
+    if not (_all_ints(s) and _all_ints(r)):
         raise InvalidWitness("s and r must be nonnegative integers")
-    if sum(s) != n:
-        raise InvalidWitness(f"sum(s) = {sum(s)}, expected {n}")
-    if sum(r) != n:
-        raise InvalidWitness(f"sum(r) = {sum(r)}, expected {n}")
-    # r_i <= i*s_i holds wherever r_i = 0, so only the positive r_i are tested
-    if any(map(gt, compress(r, r), map(mul, compress(range(1, n + 1), r), compress(s, r)))):
-        # name the first index over its cap
-        for i, (si, ri) in enumerate(zip(s, r), 1):
-            if ri > i * si:
-                raise InvalidWitness(f"r_{i} = {ri} exceeds i*s_i = {i * si}")
+    return tuple((i, si, ri) for i, si, ri in zip(count(1), s, r) if si or ri)
+
+
+def _check_support(n: int, support: tuple) -> Fraction:
+    """(sum r_i/i) / (sum s_i/i) over the lcm of the i, once the entries (i, s_i, r_i)
+    are exact ints, i rising strictly in 1..n, s_i > 0, 0 <= r_i <= i*s_i, and the s_i
+    and r_i each sum to n; else InvalidWitness: types and signs, then sums, then caps."""
+    last = sum_s = sum_r = num = den = 0
+    scale = 1
+    for i, si, ri in support:
+        if not type(si) is type(ri) is int or si < 0 or ri < 0:
+            raise InvalidWitness("s and r must be nonnegative integers")
+        if type(i) is not int or not last < i <= n or not (si or ri):
+            raise InvalidWitness(f"support entries need s_i > 0 and i rising strictly in 1..{n}")
+        last, scale, sum_s, sum_r = i, math.lcm(scale, i), sum_s + si, sum_r + ri
+    for name, total in ("s", sum_s), ("r", sum_r):
+        if total != n:
+            raise InvalidWitness(f"sum({name}) = {total}, expected {n}")
+    for i, si, ri in support:
+        if ri > i * si:
+            raise InvalidWitness(f"r_{i} = {ri} exceeds i*s_i = {i * si}")
+        num, den = num + ri * (scale // i), den + si * (scale // i)
+    return Fraction(num, den)
 
 
 def build_witness_matrix(s: Sequence[int], r: Sequence[int], n: int) -> UtilityMatrix:
@@ -72,15 +87,17 @@ def build_witness_matrix(s: Sequence[int], r: Sequence[int], n: int) -> UtilityM
     Blocks below full support need Σ_{i<n} i·s_i items; if that exceeds n
     the witness has no disjoint-support realization and is rejected.
     """
-    _check_witness_vectors(s, r, n)
-    needed = sum((idx + 1) * si for idx, si in enumerate(s[: n - 1]))
+    support = _support(s, r, n)
+    _check_support(n, support)
+    blocks = [(i, si) for i, si, _ in support if i < n]
+    needed = sum(i * si for i, si in blocks)
     if needed > n:
         raise NonRealizable(needed, n)
 
     cols = []  # block columns, ascending in size
-    fresh = sum(s[: n - 1])  # next unclaimed tail item
-    for size, count in enumerate(s[: n - 1], 1):
-        for _ in range(count):
+    fresh = sum(si for _, si in blocks)  # next unclaimed tail item
+    for size, many in blocks:
+        for _ in range(many):
             col = [0] * n
             col[len(cols)] = 1
             col[fresh : fresh + size - 1] = [1] * (size - 1)

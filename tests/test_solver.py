@@ -27,7 +27,14 @@ from envyprice.solver import (
     write_witness,
 )
 from envyprice.structure import InvalidWitness, build_witness_matrix
-from util import greedy_fill, reference_p_nn, reference_solve_alpha, reference_start_ratio
+from util import (
+    block_vector,
+    dense,
+    greedy_fill,
+    reference_p_nn,
+    reference_solve_alpha,
+    reference_start_ratio,
+)
 
 F = Fraction
 
@@ -187,7 +194,7 @@ def _four_point_scan(n, p, q, wgt):
         lo = rest // (j + 1)
         for y in {0, y_hi, min(lo, y_hi), min(lo + 1, y_hi)}:
             key = q * (f0 + min(rest, (j + 1) * y) * gain) - p * (g0 + y * gain)
-            s = solver._block_vector(n, j, x, y)
+            s = block_vector(n, j, x, y)
             if key > best_key or (key == best_key and s < best_s):
                 best_key, best_s = key, s
     return best_key, best_s
@@ -450,7 +457,8 @@ def test_full_dp_matches_the_enumeration():
         alphas.update(F(rng.randint(0, 3 * n), rng.randint(1, 40)) for _ in range(6))
         for alpha in alphas:
             p, q = alpha.numerator, alpha.denominator
-            key, s, r = solver._scan_full(n, p, q, wgt)
+            key, support, _ = solver._scan_full(n, p, q, wgt)
+            s, r = dense(n, support)
             assert (key, s) == _scan_full(n, p, q, wgt), (n, alpha)
             assert r == greedy_fill(s, n), (n, alpha)
 
@@ -466,7 +474,8 @@ def test_full_dp_reads_r_off_partial_columns_under_other_weights():
         wgt = [0] + [rng.randint(2, 60) for _ in range(n - 1)] + [1]
         q = rng.randint(1, 5)
         p = rng.randint(0, 3 * n * q)
-        key, s, r = solver._scan_full(n, p, q, wgt)
+        key, support, _ = solver._scan_full(n, p, q, wgt)
+        s, r = dense(n, support)
         assert (key, s) == _scan_full(n, p, q, wgt), (n, wgt, p, q)
         assert r == greedy_fill(s, n), (n, wgt, p, q)
         partial += any(0 < r[i] < (i + 1) * s[i] for i in range(n - 1))
@@ -517,7 +526,8 @@ def test_items_only_dp_matches_the_column_dp():
             alphas.update(F(k) for k in range(2, n))
         for alpha in alphas:
             p, q = alpha.numerator, alpha.denominator
-            key, s, r = solver._scan_full(n, p, q, wgt)
+            key, support, _ = solver._scan_full(n, p, q, wgt)
+            s, r = dense(n, support)
             assert (key, s) == _scan_full_by_columns(n, p, q, wgt), (n, alpha)
             # the traceback's t = min(i, n - f) per column is the greedy fill
             assert r == greedy_fill(s, n), (n, alpha)
@@ -693,7 +703,9 @@ def test_start_lies_between_the_construction_and_p():
         # the start is the best ratio of the wider reference family, on
         # Fractions, with the construction as a floor, as it was before the
         # start dropped both; the matrix it comes from certifies it
-        blocks = [(solver._witness_ratio(s, r), s, r) for s, r in _two_size_blocks(n)]
+        sizes = range(1, n + 1)
+        blocks = [(sum(map(F, r, sizes)) / sum(map(F, s, sizes)), s, r)
+                  for s, r in _two_size_blocks(n)]
         ratio, s, r = max(blocks, key=lambda b: b[0], default=(F(0), None, None))
         assert start == max(ratio, construction_ratio(n)), n
         x = build_witness_matrix(s, r, n) if ratio == start else lower_construction(n)
@@ -798,12 +810,102 @@ def test_returned_witnesses_are_certified():
 
 
 def test_structured_witness_validation():
-    with pytest.raises(InvalidWitness):
-        StructuredWitness((0, 1), (0, 2), F(1))  # sum(s) != 2
-    with pytest.raises(InvalidWitness):
-        StructuredWitness((2, 0), (0, 2), F(1))  # r_2 > 2*s_2
-    with pytest.raises(InvalidWitness):
-        StructuredWitness((0, 2), (0, 2), F(2))  # ratio mismatch
+    # the dense constructor's messages, each for the first check that fails
+    cases = [
+        ((0, 1), (0, 2), F(1), r"^sum\(s\) = 1, expected 2$"),
+        ((0, 2), (1, 2), F(1), r"^sum\(r\) = 3, expected 2$"),
+        ((2, 0), (0, 2), F(1), r"^r_2 = 2 exceeds i\*s_i = 0$"),
+        ((1, 0, 2), (2, 1, 0), F(1), r"^r_1 = 2 exceeds i\*s_i = 1$"),
+        ((0, 2), (0, 2), F(2), r"^ratio 2 does not equal \(sum r_i/i\)/\(sum s_i/i\) = 1$"),
+        ((0, 2), (0, 2), None, r"^ratio None does not equal \(sum r_i/i\)/\(sum s_i/i\) = 1$"),
+        ((), (), F(1), r"^n must be positive, got 0$"),
+        ((0, 2), (0, 2, 0), F(1), r"^s and r must have 2 entries$"),
+        ((0, 2.0), (0, 2), F(1), r"^s and r must be nonnegative integers$"),
+        ((0, 0.0, 2), (0, 0, 2), F(2, 3), r"^s and r must be nonnegative integers$"),
+        ((1, True), (1, 1), F(1), r"^s and r must be nonnegative integers$"),
+        ((-1, 3), (0, 2), F(1), r"^s and r must be nonnegative integers$"),
+    ]
+    for s, r, ratio, message in cases:
+        with pytest.raises(InvalidWitness, match=message):
+            StructuredWitness(s, r, ratio)
+
+
+# p(7) = 63/40: two columns of size 2 and one of size 3 hold the 7 items
+SUPPORT_7 = ((2, 2, 4), (3, 1, 3), (7, 4, 0))
+
+
+def _tamper(monkeypatch, search, change):
+    """Make solve_alpha's scan for `search` hand over
+    change(key, support, ratio) instead of what it found."""
+    scan = solver._scan_full if search is Search.FULL_ENUMERATION else solver._scan_restricted
+    monkeypatch.setattr(solver, scan.__name__, lambda *args: change(*scan(*args)))
+
+
+@pytest.mark.parametrize(
+    "support, message",
+    [
+        (((2, 2, 5), (3, 1, 2), (7, 4, 0)), r"^r_2 = 5 exceeds i\*s_i = 4$"),
+        (((2, 2, 4), (3, 1, 2), (7, 4, 0)), r"^sum\(r\) = 6, expected 7$"),
+        (((2, 2, 4), (2, 1, 3), (7, 4, 0)), r"^support entries need s_i > 0 and i rising strictly in 1\.\.7$"),
+        (((3, 1, 3), (2, 2, 4), (7, 4, 0)), r"^support entries need s_i > 0 and i rising"),
+        (((2, 2, 4), (3, 1, 3), (8, 4, 0)), r"^support entries need s_i > 0 and i rising"),
+        (((0, 2, 4), (3, 1, 3), (7, 4, 0)), r"^support entries need s_i > 0 and i rising"),
+        (((2, 2, 4), (3, True, 3), (7, 4, 0)), r"^s and r must be nonnegative integers$"),
+        (((2, 2, 4), (3, 1, 4), (7, 4, -1)), r"^s and r must be nonnegative integers$"),
+        (((True, 2, 4), (3, 1, 3), (7, 4, 0)), r"^support entries need s_i > 0 and i rising"),
+        (((2, 2, 4), (3, 1, 3), (5, 0, 0), (7, 4, 0)), r"^support entries need s_i > 0 and i rising"),
+        (((2, 2, 4), (3, 1, 2), (5, 0, 1), (7, 4, 0)), r"^r_5 = 1 exceeds i\*s_i = 0$"),
+    ],
+    ids=["over-cap", "r-short", "repeated", "falling", "above-n", "zero-index",
+         "true-entry", "negative-r", "true-index", "zero-s", "zero-s-hit"],
+)
+@pytest.mark.parametrize("search", list(Search), ids=lambda s: s.value)
+def test_a_tampered_support_is_refused(monkeypatch, search, support, message):
+    # the support each scan hands over is checked from scratch, so a scan
+    # that goes wrong gets a typed error, also under python -O
+    options, alpha = SolveOptions(search), F(63, 40)
+    assert solve_alpha(7, alpha, options)[1].support == SUPPORT_7
+    _tamper(monkeypatch, search, lambda key, _, ratio: (key, support, ratio))
+    with pytest.raises(InvalidWitness, match=message):
+        solve_alpha(7, alpha, options)
+
+
+@pytest.mark.parametrize("search", list(Search), ids=lambda s: s.value)
+def test_a_scan_ratio_that_is_off_is_refused(monkeypatch, search):
+    # each scan's own ratio is checked against the one recomputed from its
+    # support over the lcm of the sizes
+    _tamper(monkeypatch, search, lambda key, support, ratio: (key, support, ratio + F(1, 1000)))
+    with pytest.raises(InvalidWitness, match=r"^ratio 197/125 does not equal .* = 63/40$"):
+        solve_alpha(7, F(63, 40), SolveOptions(search))
+
+
+@st.composite
+def feasible_histograms(draw):
+    """n <= 60 and a feasible dense (s, r): n column sizes, and n of their
+    item slots drawn as the hits, at most i in a column of size i."""
+    n = draw(st.integers(1, 60))
+    sizes = draw(st.lists(st.integers(1, n), min_size=n, max_size=n))
+    hits = draw(st.randoms(use_true_random=False)).sample([i for i in sizes for _ in range(i)], n)
+    return n, tuple(map(sizes.count, range(1, n + 1))), tuple(map(hits.count, range(1, n + 1)))
+
+
+@settings(deadline=None, max_examples=150)
+@given(feasible_histograms(), st.booleans())
+def test_dense_witnesses_round_trip(case, take_the_solvers):
+    n, s, r = case
+    solved = solve_p_nn(n)
+    if take_the_solvers:
+        s, r = solved.s, solved.r
+    sizes = range(1, n + 1)
+    ratio = sum(map(F, r, sizes)) / sum(map(F, s, sizes))
+    w = StructuredWitness(list(s), list(r), ratio)
+    assert (w.s, w.r, w.ratio) == (s, r, ratio)
+    assert w.support == tuple((i, si, ri) for i, si, ri in zip(sizes, s, r) if si)
+    assert (w == solved) is ((s, r) == (solved.s, solved.r)) is (w.support == solved.support)
+    if w == solved:  # always so where the draw took the solver's (s, r)
+        assert hash(w) == hash(solved)
+    assert witness_from_dict(witness_to_dict(w)) == w
+    assert hash(witness_from_dict(witness_to_dict(w))) == hash(w)
 
 
 def test_witness_json_round_trip(tmp_path):

@@ -50,7 +50,7 @@ from envyprice.core import (
     price_ratio,
 )
 from envyprice.oracle import _ATTEMPTS, RejectionCapExceeded
-from envyprice.solver import StructuredWitness, _block_vector
+from envyprice.solver import StructuredWitness
 
 
 def random_columns(rng, n, m, max_w=10):
@@ -444,6 +444,26 @@ def greedy_fill(s, n):
     return tuple(r)
 
 
+def block_vector(n, j, a, b):
+    """Dense vector summing to n: a at size j, b at j+1, the rest at n.
+    Block (j, x, y) has s = block_vector(n, j, x, y); x = 0 with j = n-1
+    gives the all-full vector."""
+    v = [0] * n
+    v[j - 1] = a
+    v[j] += b
+    v[-1] += n - a - b
+    return tuple(v)
+
+
+def dense(n, support):
+    """The dense (s, r) of a support of (i, s_i, r_i) entries."""
+    s, r = [0] * n, [0] * n
+    for i, si, ri in support:
+        s[i - 1] += si
+        r[i - 1] += ri
+    return tuple(s), tuple(r)
+
+
 def reference_scan_restricted(n, p, q, wgt):
     """Best (key, s) over the restricted family, with W(i) = wgt[i] =
     lcm(1..n)/i: the key of a block relative to the all-full vector is
@@ -471,7 +491,7 @@ def reference_scan_restricted(n, p, q, wgt):
                 key += d * (q * t - p * y)
             if key > best_key:
                 best_key, best_block = key, (j, x, y)
-    return best_key + w_n * (q - p) * n, _block_vector(n, *best_block)
+    return best_key + w_n * (q - p) * n, block_vector(n, *best_block)
 
 
 def reference_solve_alpha(n, alpha):
