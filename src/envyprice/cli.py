@@ -91,7 +91,7 @@ def table(lo: int, hi: int, fmt: str, out: str, approx: bool) -> None:
             if approx:
                 header += ",p_approx"
             fh.write(header + "\n")
-            for n in range(lo, hi + 1):  # a row keeps only the ratio, not the length-n witness
+            for n in range(lo, hi + 1):  # a row needs only the ratio; no witness outlives its row
                 ratio = solve_p_nn(n).ratio
                 row = f"{n},{ratio.numerator},{ratio.denominator}"
                 if approx:
@@ -163,25 +163,32 @@ def _report_payload(n: int) -> dict:
 @click.option("--n", "n", type=int, default=None)
 @click.option("--to", "hi", type=int, default=None)
 def bounds(n: int | None, hi: int | None) -> None:
-    """Bound report for one n (JSON) or rows for 1..B (CSV)."""
+    """Bound report for one n (JSON) or rows for 1..B (CSV); exits 1 when a
+    printed check is false."""
     if (n is None) == (hi is None):
         raise click.UsageError("provide exactly one of --n or --to")
     if n is not None:
         if n < 1:
             raise click.UsageError("need --n >= 1")
-        click.echo(json.dumps(_report_payload(n), indent=2))
-        return
-    if hi < 1:
-        raise click.UsageError("need --to >= 1")
-    click.echo("n,lower,upper,p,holds")
-    for k in range(1, hi + 1):
-        payload = _report_payload(k)
-        p = payload["p_exact"] or ""
-        holds = "true" if all(payload["checks"].values()) else "false"
-        click.echo(
-            f"{k},{payload['lower_construction_ratio']},"
-            f"{payload['upper_g_max']},{p},{holds}"
-        )
+        payload = _report_payload(n)
+        click.echo(json.dumps(payload, indent=2))
+        failed = not all(payload["checks"].values())
+    else:
+        if hi < 1:
+            raise click.UsageError("need --to >= 1")
+        click.echo("n,lower,upper,p,holds")
+        failed = False
+        for k in range(1, hi + 1):
+            payload = _report_payload(k)
+            p = payload["p_exact"] or ""
+            holds = all(payload["checks"].values())
+            failed |= not holds
+            click.echo(
+                f"{k},{payload['lower_construction_ratio']},"
+                f"{payload['upper_g_max']},{p},{str(holds).lower()}"
+            )
+    if failed:
+        sys.exit(1)
 
 
 @main.command()

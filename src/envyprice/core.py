@@ -476,13 +476,7 @@ def _compat_adjacency(x: UtilityMatrix) -> Sequence[list[int]]:
     lists = []
     for col in distinct:
         best = max(col)
-        ties = col.count(best)
-        if ties == 1:
-            lists.append([col.index(best)])
-        elif ties == len(col):
-            lists.append(list(range(ties)))
-        else:
-            lists.append([i for i, v in enumerate(col) if v == best])
+        lists.append([i for i, v in enumerate(col) if v == best])
     return _spread(grid, distinct, lists)
 
 

@@ -1,3 +1,4 @@
+import hashlib
 import random
 import time
 from fractions import Fraction
@@ -8,6 +9,7 @@ import envyprice
 import envyprice.core
 from envyprice.bounds import (
     BoundReport,
+    _segmented_columns,
     bound_report,
     check_lower_bound,
     check_upper_bound,
@@ -259,9 +261,25 @@ def test_bound_report_without_exact_value():
     assert all(ok for _, ok in report.checks)
 
 
-def test_bound_report_rejects_out_of_order_values():
-    with pytest.raises(ValueError):
-        BoundReport(3, F(3, 2), F(3, 2), F(8, 7), ())
+def test_bound_report_flags_out_of_order_values():
+    # the checks are the report's verdict: a value outside [construction,
+    # ceiling] is reported, each side by its own check, not refused
+    below = bound_report(9, F(3, 2))  # construction 9/5, ceiling 27/13
+    assert below.p_exact == F(3, 2)
+    assert not dict(below.checks)["construction_at_most_exact"]
+    assert dict(below.checks)["exact_at_most_ceiling"]
+    above = bound_report(9, F(5, 2))
+    assert dict(above.checks)["construction_at_most_exact"]
+    assert not dict(above.checks)["exact_at_most_ceiling"]
+    assert [name for name, _ in below.checks] == [name for name, _ in above.checks] == [
+        "construction_lower_bound",
+        "construction_below_ceiling",
+        "construction_at_most_exact",
+        "exact_at_most_ceiling",
+        "lower_bound",
+        "upper_bound",
+    ]
+    assert BoundReport(3, F(3, 2), F(3, 2), F(8, 7), ()).p_exact == F(8, 7)
 
 
 # --- worthless items -----------------------------------------------------------------
@@ -275,6 +293,16 @@ def test_worthless_items_preserve_ratio(w3):
 
 
 # --- the explorer --------------------------------------------------------------------
+
+def test_segmented_baseline_columns_are_pinned():
+    # sha256 of the baseline's 0/1 columns for every shape 1 <= n <= m <= 40,
+    # recorded before the columns were laid out by the shared block writer
+    shapes = [_segmented_columns(n, m) for m in range(1, 41) for n in range(1, m + 1)]
+    assert hashlib.sha256(repr(shapes).encode()).hexdigest() == (
+        "8fda11fd59686819209ffdb4c2ff544ac797b5fccaa0a114cbeec14d444a4894"
+    )
+    assert _segmented_columns(3, 7) == [[1, 1, 1, 0, 0, 0, 0], [0, 0, 0, 1, 1, 0, 0], [0, 0, 0, 0, 0, 1, 1]]
+
 
 def test_explore_square_two_agents_is_exactly_one():
     # every envy-free-admitting 2x2 instance has ratio 1

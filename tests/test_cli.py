@@ -10,7 +10,7 @@ from types import SimpleNamespace
 import pytest
 from click.testing import CliRunner
 
-from envyprice import cli
+from envyprice import bounds, cli
 from envyprice.bounds import _segmented_columns
 from envyprice.cli import main
 from envyprice.core import UtilityMatrix, write_instance
@@ -288,6 +288,36 @@ def test_bounds_rejects_a_size_below_one(flag):
     assert result.exit_code == 2
     assert f"need {flag} >= 1" in result.stderr
     assert result.stdout == ""
+
+
+def test_bounds_exits_1_on_a_false_check_after_printing_everything(monkeypatch):
+    single, sweep = invoke("bounds", "--n", "9"), invoke("bounds", "--to", "3")
+    monkeypatch.setattr(bounds, "check_lower_bound", lambda n, p: False)
+    result = invoke("bounds", "--n", "9")
+    assert (result.exit_code, result.stderr) == (1, "")
+    payload = json.loads(single.stdout)
+    payload["checks"].update(construction_lower_bound=False, lower_bound=False)
+    assert result.stdout == json.dumps(payload, indent=2) + "\n"
+    result = invoke("bounds", "--to", "3")
+    assert (result.exit_code, result.stderr) == (1, "")
+    assert result.stdout == sweep.stdout.replace(",true\n", ",false\n")
+    assert result.stdout.count(",false\n") == 3
+
+
+@pytest.mark.parametrize(
+    "p, failing", [("5/2", "exact_at_most_ceiling"), ("3/2", "construction_at_most_exact")]
+)
+def test_bounds_exits_1_on_a_value_outside_the_sandwich(monkeypatch, p, failing):
+    # at n = 9 the construction is 9/5 and the ceiling 27/13
+    monkeypatch.setattr(cli, "solve_p_nn", lambda n: SimpleNamespace(ratio=Fraction(p)))
+    result = invoke("bounds", "--n", "9")
+    assert (result.exit_code, result.stderr) == (1, "")
+    payload = json.loads(result.stdout)
+    assert payload["p_exact"] == p
+    assert [name for name, ok in payload["checks"].items() if not ok] == [failing]
+    result = invoke("bounds", "--to", "9")
+    assert (result.exit_code, result.stderr) == (1, "")
+    assert result.stdout.splitlines()[-1] == f"9,9/5,27/13,{p},false"
 
 
 # --- explore -------------------------------------------------------------------------
