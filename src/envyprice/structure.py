@@ -5,7 +5,8 @@ support: k_j entries of value 1/k_j (the paper's normalization lemmas, which
 reduce every instance to this form, are checked in the test suite). The form
 has no type of its own: :func:`build_witness_matrix` writes it as 0/1 weight
 columns, straight from the support size histogram (s, r) that the solver
-searches over.
+searches over, after the checks every `StructuredWitness` passes: `_support`
+reads off the nonzero (i, s_i, r_i), and `_check_support` checks them.
 """
 
 from __future__ import annotations

@@ -40,6 +40,10 @@ CERTIFY_300_BUDGET_S = 15.0
 # same box, about 1.7 s of it for n = 2000; the budget leaves the same room
 CERTIFY_SAMPLE_BUDGET_S = 15.0
 
+# 0.10-0.12 s measured for rebuilding and certifying the oracle's optima to
+# n = 2000 on the same box; a column per full-support agent took 2.3 s there
+REALIZE_BUDGET_S = 1.0
+
 # independently certified optimal configs, one per n
 OPTIMAL_CONFIGS = {
     1: ((1, 1),),
@@ -249,10 +253,52 @@ def test_realize_uniform_config():
 
 
 def test_realize_certifies_every_small_optimum():
-    for n in range(1, 10):
+    # the rebuilt optimum certifies the oracle's value, which is the solver's;
+    # only the rebuilds and their certification are timed
+    spent = 0.0
+    for n in [*range(1, 151), 200, 300, 500, 1000, 2000]:
         value, cfg = oracle_p_nn(n)
+        t0 = time.perf_counter()
         report = price_ratio(realize_config(cfg, n))
-        assert report.ratio == value
+        spent += time.perf_counter() - t0
+        assert report.ratio == value == solve_p_nn(n).ratio, n
+    assert spent < REALIZE_BUDGET_S, f"{spent:.2f}s"
+
+
+def _random_config(rng):
+    n = rng.randint(1, 8)
+    budget, pairs = n, []
+    for _ in range(n):
+        s = rng.randint(1, n)
+        t = rng.randint(0, min(s, budget))
+        budget -= t
+        pairs.append((s, t))
+    return VertexConfig(pairs)
+
+
+def test_realize_layout_is_pinned():
+    # recorded while every full-support column was built item by item: the
+    # shared all-ones column leaves the matrices and the refusals (1664 of
+    # the 3000 configs) as they were
+    rng = random.Random("oracle:realize-layout")
+    out = []
+    for _ in range(3000):
+        cfg = _random_config(rng)
+        try:
+            x = realize_config(cfg, cfg.n)
+            out.append((x.grid, x.scale))
+        except LayoutInfeasible as err:
+            out.append((err.agent, str(err)))
+    assert hashlib.sha256(repr(out).encode()).hexdigest() == (
+        "2a6f5328d792b0dfa4fd2396dcdef1fc1b772f5455d62063d103d154501e7c3b"
+    )
+    optima = hashlib.sha256()
+    for n in range(1, 200):
+        x = realize_config(oracle_p_nn(n)[1], n)
+        optima.update(repr((x.grid, x.scale)).encode())
+    assert optima.hexdigest() == (
+        "b6ab058f29eb5a0e4fa32c26650b69d3bab83968b7467002e6a77a09f62a02cb"
+    )
 
 
 def test_realize_identity_envy_free():
