@@ -9,7 +9,13 @@ from pathlib import Path
 import pytest
 
 import envyprice.oracle
-from envyprice.core import ColumnNotNormalized, UtilityMatrix, envy_free_matching, price_ratio
+from envyprice.core import (
+    ColumnNotNormalized,
+    UtilityMatrix,
+    _start_ratio,
+    envy_free_matching,
+    price_ratio,
+)
 from envyprice.oracle import (
     FuzzCheckFailed,
     LayoutInfeasible,
@@ -36,13 +42,18 @@ F = Fraction
 # for a host that runs 2x slower in spells
 CERTIFY_300_BUDGET_S = 15.0
 
-# 3.2-4.3 s measured for the seeded sample to n = 1000 plus n = 2000 on the
-# same box, about 1.7 s of it for n = 2000; the budget leaves the same room
+# 0.8 s measured for the seeded sample to n = 1000 plus n = 2000, 6000 and
+# 10000 on the same box (3.2-4.3 s to n = 2000 while the oracle tried every
+# weight); the budget leaves the same room
 CERTIFY_SAMPLE_BUDGET_S = 15.0
 
 # 0.10-0.12 s measured for rebuilding and certifying the oracle's optima to
 # n = 2000 on the same box; a column per full-support agent took 2.3 s there
 REALIZE_BUDGET_S = 1.0
+
+# 0.12-0.14 s measured for the live knapsack steps of the seeded sample to
+# n = 1500 on the same box; the knapsack over every weight takes 1.5-1.6 s
+LIVE_SAMPLE_BUDGET_S = 0.6
 
 # independently certified optimal configs, one per n
 OPTIMAL_CONFIGS = {
@@ -160,11 +171,13 @@ def test_oracle_agrees_with_solver():
     assert elapsed < CERTIFY_300_BUDGET_S, f"{elapsed:.2f}s"
 
 
-def test_oracle_agrees_with_solver_on_a_sample_to_2000():
-    # one seeded n per width-100 stratum of 301..1000, then n = 2000: the
-    # solver, the rebuilt matrix and the oracle agree far past n = 300
+def test_oracle_agrees_with_solver_on_a_sample_to_10000():
+    # one seeded n per width-100 stratum of 301..1000, then n = 2000, 6000
+    # and 10000: the solver, the rebuilt matrix and the oracle agree far past
+    # n = 300
     rng = random.Random("oracle:certify-sample")
-    sample = [rng.randrange(lo, lo + 100) for lo in range(301, 1001, 100)] + [2000]
+    sample = [rng.randrange(lo, lo + 100) for lo in range(301, 1001, 100)]
+    sample += [2000, 6000, 10000]
     t0 = time.perf_counter()
     for n in sample:
         w = solve_p_nn(n)
@@ -172,6 +185,38 @@ def test_oracle_agrees_with_solver_on_a_sample_to_2000():
         assert oracle_p_nn(n)[0] == w.ratio, n
     elapsed = time.perf_counter() - t0
     assert elapsed < CERTIFY_SAMPLE_BUDGET_S, f"{elapsed:.2f}s"
+
+
+def _knapsack_alphas(n, rng):
+    """The steps a search takes (1, the start, p(n)), one just below p(n), the
+    edges 0 and 2n + 1 (above every t), n/3, and two seeded alphas."""
+    p = solve_p_nn(n).ratio
+    alphas = [F(0), F(1), _start_ratio(n), p, p - F(1, n), F(n, 3), F(2 * n + 1)]
+    return alphas + [F(rng.randint(0, 21 * n), rng.randint(1, 7)) for _ in range(2)]
+
+
+def test_dp_matches_the_full_knapsack():
+    # the knapsack over the live weights returns what the knapsack over every
+    # weight does: the same objective and the same tie-broken config
+    rng = random.Random("oracle:live-weights")
+    for n in range(1, 201):
+        for alpha in _knapsack_alphas(n, rng):
+            assert _oracle_dp(n, alpha) == util.reference_oracle_dp(n, alpha), (n, alpha)
+
+
+def test_dp_matches_the_full_knapsack_on_a_sample_to_1500():
+    # one seeded n per width-100 stratum of 201..1500, then n = 1500, at the
+    # start and one seeded alpha; only the live knapsack is timed
+    rng = random.Random("oracle:live-weights-sample")
+    sample = [rng.randrange(lo, lo + 100) for lo in range(201, 1501, 100)] + [1500]
+    spent = 0.0
+    for n in sample:
+        for alpha in (_start_ratio(n), F(rng.randint(0, 21 * n), rng.randint(1, 7))):
+            t0 = time.perf_counter()
+            got = _oracle_dp(n, alpha)
+            spent += time.perf_counter() - t0
+            assert got == util.reference_oracle_dp(n, alpha), (n, alpha)
+    assert spent < LIVE_SAMPLE_BUDGET_S, f"{spent:.2f}s"
 
 
 @pytest.mark.parametrize("k", [3, 4, 5])

@@ -27,6 +27,11 @@ more, as the library did before it took one Dinkelbach step from the
 all-full ratio over two closed-form blocks; `core._start_ratio` must
 equal it.
 
+The reference oracle step fills its knapsack from every weight t = 1..n at
+every capacity, about n^2/2 cells, as the library did before it ran the
+knapsack and the rebuild over the live weights its loss bound leaves;
+`_oracle_dp` must return exactly its outputs.
+
 The normalization steps reduce every worst case to columns that are uniform
 on their supports, which all three searches rest on. They are bare column
 transforms: callers pass a valid instance and an optimal assignment tau
@@ -38,7 +43,7 @@ import math
 import random
 from fractions import Fraction
 from itertools import chain, product
-from operator import mul
+from operator import add, mul
 
 from envyprice.core import (
     UtilityMatrix,
@@ -49,7 +54,7 @@ from envyprice.core import (
     optimal_welfare,
     price_ratio,
 )
-from envyprice.oracle import _ATTEMPTS, RejectionCapExceeded
+from envyprice.oracle import _ATTEMPTS, RejectionCapExceeded, VertexConfig
 from envyprice.solver import StructuredWitness
 
 
@@ -537,3 +542,29 @@ def reference_start_ratio(n):
             if num * best_den > best_num * den:
                 best_num, best_den = num, den
     return Fraction(best_num, best_den)
+
+
+# --- reference oracle step: every weight at every capacity -------------------------
+
+def reference_oracle_dp(n, alpha):
+    """`_oracle_dp`'s knapsack over all of t = 1..n: (objective, config)."""
+    p, q = alpha.numerator, alpha.denominator
+    scale = math.lcm(*range(1, n + 1))
+    s_for = [max(t, 1) if t * q >= p else n for t in range(n + 1)]
+    val = [(t * q - p) * (scale // s) for t, s in enumerate(s_for)]
+
+    # (gain, -count) packed as gain*(n+1) - count: count <= n keeps the order
+    # lexicographic, and the keys of disjoint multisets add
+    w = [(v - val[0]) * (n + 1) - 1 for v in val]
+    key = [0] * (n + 1)
+    for c in range(1, n + 1):
+        key[c] = max(map(add, key[c - 1 :: -1], w[1 : c + 1]))
+
+    hits, c = [], n
+    while c:
+        t = next(t for t in range(1, c + 1) if key[c - t] + w[t] == key[c])
+        hits.append(t)
+        c -= t
+    hits += [0] * (n - len(hits))
+    pairs = tuple((s_for[t], t) for t in hits)
+    return Fraction(sum(val[t] for t in hits), q * scale), VertexConfig(pairs)
